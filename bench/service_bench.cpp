@@ -46,9 +46,9 @@
 //     completed qps stays within 2x of the static baseline, and (c)
 //     the controller settles — the tighten/relax trace must not
 //     oscillate. A failing assert prints the controller trajectory.
-//     The "sharded" point replays the steady profile over a
-//     ShardedSnapshotStore-backed engine: the controller and per-class
-//     accounting must serve both Store models. After the points the
+//     The "sharded" point replays the steady profile over a 4-shard
+//     store: the controller and per-class accounting must serve any
+//     shard count. After the points the
 //     engines' answers are verified bit-exact against naive PPSP on
 //     each store's final pinned snapshot.
 //
@@ -126,12 +126,9 @@ std::vector<Query> makeQueries(Count Side, Count HowMany, uint64_t Seed,
 }
 
 /// Weight perturbations on existing edges of the current snapshot — the
-/// live-traffic incident stream the writer thread publishes. Templated
-/// over the snapshot view so the same stream drives SnapshotStore
-/// (DeltaGraph) and ShardedSnapshotStore (ShardedDeltaView) phases.
-template <class ViewT>
-std::vector<EdgeUpdate> incidentBatch(const ViewT &Snap, Count HowMany,
-                                      SplitMix64 &Rng) {
+/// live-traffic incident stream the writer thread publishes.
+std::vector<EdgeUpdate> incidentBatch(const ShardedDeltaView &Snap,
+                                      Count HowMany, SplitMix64 &Rng) {
   std::vector<EdgeUpdate> Batch;
   const Count N = Snap.numNodes();
   while (static_cast<Count>(Batch.size()) < HowMany) {
@@ -184,8 +181,7 @@ struct OpenLoopResult {
   double OfferedQps = 0, CompletedQps = 0;
 };
 
-template <class EngineT>
-void runOpenLoop(EngineT &Engine, Count Side, Count NumQueries,
+void runOpenLoop(QueryEngine &Engine, Count Side, Count NumQueries,
                  double OfferedQps, ArrivalModel Model, OpenLoopResult &Out) {
   struct InFlight {
     uint64_t Ticket;
@@ -360,9 +356,8 @@ void runOpenLoop(EngineT &Engine, Count Side, Count NumQueries,
 /// Engine options shared by every open-loop phase. With \p Controller
 /// the class-0 SLO and the feedback loop are enabled; without, the same
 /// static knobs serve as the baseline twin.
-template <class EngineT>
-typename EngineT::Options openLoopOpts(int NumWorkers, bool Controller) {
-  typename EngineT::Options Opts;
+QueryEngine::Options openLoopOpts(int NumWorkers, bool Controller) {
+  QueryEngine::Options Opts;
   Opts.NumWorkers = NumWorkers;
   Opts.DefaultSchedule.Delta = 1024;
   Opts.AdmissionHighWater = 512;
@@ -389,8 +384,7 @@ typename EngineT::Options openLoopOpts(int NumWorkers, bool Controller) {
 /// Runs one open-loop phase: the arrival generator plus a concurrent
 /// writer publishing an incident batch every ~2ms, routed through the
 /// engine like production traffic. Returns the update-batch count.
-template <class StoreT, class EngineT>
-uint64_t runPhase(StoreT &Store, EngineT &Engine, Count Side,
+uint64_t runPhase(SnapshotStore &Store, QueryEngine &Engine, Count Side,
                   Count NumQueries, double OfferedQps, ArrivalModel Model,
                   OpenLoopResult &Out) {
   std::atomic<bool> StopWriter{false};
@@ -498,11 +492,9 @@ void emitOpenLoopLines(const char *Mode, const OpenLoopResult &OL,
 /// Post-phase verification: with the writer quiesced, a fresh engine's
 /// PPSP answers on the store's final version must match naive
 /// single-threaded runs on the pinned snapshot bit for bit.
-template <class StoreT>
-void verifyAgainstNaive(StoreT &Store, Count Side, Count HowMany,
+void verifyAgainstNaive(SnapshotStore &Store, Count Side, Count HowMany,
                         int NumWorkers, const char *What) {
-  using EngineT = BasicQueryEngine<StoreT>;
-  EngineT Engine(Store, openLoopOpts<EngineT>(NumWorkers, false));
+  QueryEngine Engine(Store, openLoopOpts(NumWorkers, false));
   Graph Final = Store.current()->compact();
   std::vector<Query> Checks = makeQueries(Side, HowMany, 4711);
   for (Query &Q : Checks)
@@ -736,7 +728,7 @@ int main(int argc, char **argv) {
   // batch path amortizes away).
   double CapacityQps;
   {
-    QueryEngine Probe(Store, openLoopOpts<QueryEngine>(NumWorkers, false));
+    QueryEngine Probe(Store, openLoopOpts(NumWorkers, false));
     std::vector<Query> ProbeQ =
         makeQueries(Side, 1024, 31, /*WindowDiv=*/4);
     (void)Probe.runBatch(ProbeQ); // warm worker states and the allocator
@@ -792,7 +784,7 @@ int main(int argc, char **argv) {
     double StaticQps = 0;
     uint64_t StaticPremiumP99 = 0;
     if (IsOverload) {
-      QueryEngine Off(Store, openLoopOpts<QueryEngine>(NumWorkers, false));
+      QueryEngine Off(Store, openLoopOpts(NumWorkers, false));
       OpenLoopResult OffR;
       (void)runPhase(Store, Off, Side, NumQueries, OfferedQps, Point.Model,
                      OffR);
@@ -809,7 +801,7 @@ int main(int argc, char **argv) {
                   static_cast<unsigned long long>(OffR.Shed));
     }
 
-    QueryEngine Engine(Store, openLoopOpts<QueryEngine>(NumWorkers, true));
+    QueryEngine Engine(Store, openLoopOpts(NumWorkers, true));
     OpenLoopResult OL;
     const uint64_t Batches = runPhase(Store, Engine, Side, NumQueries,
                                       OfferedQps, Point.Model, OL);
@@ -888,17 +880,16 @@ int main(int argc, char **argv) {
 
   verifyAgainstNaive(Store, Side, 64, NumWorkers, "snapshot-store");
 
-  // The same controller + per-class machinery must serve the sharded
-  // store: replay the steady profile over a ShardedSnapshotStore-backed
-  // engine (half the arrivals — it is a portability point, not a second
-  // steady measurement) and verify bit-identity on its final version.
+  // The same controller + per-class machinery must serve a multi-shard
+  // store: replay the steady profile over a 4-shard store (half the
+  // arrivals — it is a portability point, not a second steady
+  // measurement) and verify bit-identity on its final version.
   if (std::strcmp(Arrivals, "all") == 0) {
-    ShardedSnapshotStore::Options SOpts;
+    SnapshotStore::Options SOpts;
     SOpts.NumShards = 4;
-    ShardedSnapshotStore SStore(G, SOpts);
+    SnapshotStore SStore(G, SOpts);
     {
-      ShardedQueryEngine SEngine(
-          SStore, openLoopOpts<ShardedQueryEngine>(NumWorkers, true));
+      QueryEngine SEngine(SStore, openLoopOpts(NumWorkers, true));
       OpenLoopResult OL;
       const uint64_t Batches =
           runPhase(SStore, SEngine, Side, NumQueries / 2, 2000.0,

@@ -37,20 +37,20 @@
 //     end-to-end apply+query round; checksums must match exactly.
 //
 //   update_throughput_sharded — T writer threads on distinct vertex-range
-//     shards pushing batches through a ShardedSnapshotStore vs the same
-//     batches through the single-writer-mutex SnapshotStore. Metric:
+//     shards pushing batches through an 8-shard store vs the same batches
+//     through a one-shard store (a single writer mutex). Metric:
 //     "speedup" of wall-clock apply time; final adjacency checksums must
 //     match exactly.
 //
 //   sharded_compacting — the same multi-writer streams with compaction
-//     thresholds low enough that folds trip throughout the run:
-//     incremental per-shard folds (one shard writer lock each, O(shard))
-//     against Options::LegacyGlobalRebuild (the old all-shards global
-//     rebuild). Two gated lines, "mode": "p99" (per-batch apply latency)
-//     and "mode": "qps" (batch throughput), each with "speedup" =
-//     global / incremental — the binary exits non-zero unless the
-//     incremental path wins both AND the final distance arrays are
-//     bit-identical across the two modes.
+//     thresholds low enough that folds trip throughout the run: the
+//     8-shard store's incremental folds (one shard writer lock each,
+//     O(shard)) against a one-shard store, whose every fold covers the
+//     whole graph under its one writer lock. Two gated lines, "mode":
+//     "p99" (per-batch apply latency) and "mode": "qps" (batch
+//     throughput), each with "speedup" = one-shard / 8-shard — the
+//     binary exits non-zero unless the 8-shard store wins both AND the
+//     final distance arrays are bit-identical across the two stores.
 //
 // Knobs: GRAPHIT_SCALE (graph side multiplier), GRAPHIT_BENCH_TRIALS.
 //
@@ -80,7 +80,7 @@ namespace {
 /// A road-incident update mix against the current snapshot: mostly weight
 /// changes (closures slow a segment, reopenings speed it back up), some
 /// deletions, some new diagonal shortcuts. \p HowMany undirected updates.
-std::vector<EdgeUpdate> incidentBatch(const DeltaGraph &G, Count Side,
+std::vector<EdgeUpdate> incidentBatch(const ShardedDeltaView &G, Count Side,
                                       Count HowMany, SplitMix64 &Rng) {
   std::vector<EdgeUpdate> Batch;
   const Count N = G.numNodes();
@@ -225,9 +225,8 @@ double runHotExperiment(const Graph &Base, Count Side,
 
 /// Sharded write-path experiment: \p Writers threads each apply their own
 /// pre-generated shard-local batch stream; returns wall seconds. The same
-/// per-writer streams go through both store flavors.
-template <typename StoreT>
-double runApplyThreads(StoreT &Store,
+/// per-writer streams go through both shard counts.
+double runApplyThreads(SnapshotStore &Store,
                        const std::vector<std::vector<std::vector<EdgeUpdate>>>
                            &PerWriter) {
   Timer Clock;
@@ -246,7 +245,7 @@ double runApplyThreads(StoreT &Store,
 /// Per-writer shard-local streams (writer w owns shard w's vertex range —
 /// the power-of-two span over-covers the universe, so only the low shards
 /// are guaranteed non-empty), generated once and replayed into every
-/// store flavor — disjoint ranges make the final adjacency
+/// store — disjoint ranges make the final adjacency
 /// interleaving-independent. Returns empty on an empty writer range.
 std::vector<std::vector<std::vector<EdgeUpdate>>>
 makeWriterStreams(const Graph &Base, Count Span, int Writers,
@@ -288,10 +287,9 @@ struct LatencyRun {
 
 /// Like runApplyThreads, but times every applyUpdates call so the fold
 /// cost lands in the per-batch latency distribution — the number the
-/// incremental-vs-global comparison is actually about.
-template <typename StoreT>
+/// 8-shard vs one-shard comparison is actually about.
 LatencyRun runCompactingWriters(
-    StoreT &Store,
+    SnapshotStore &Store,
     const std::vector<std::vector<std::vector<EdgeUpdate>>> &PerWriter) {
   std::vector<std::vector<double>> Lat(PerWriter.size());
   Timer Clock;
@@ -405,20 +403,20 @@ int main() {
   }
 
   // --- Sharded write path: T writers on distinct vertex-range shards vs
-  // the single-writer-mutex store, same per-writer batch streams.
+  // a one-shard store (one writer mutex), same per-writer batch streams.
   {
     const int Writers = 4;
     const Count UpdatesPerBatch = 64;
     const int BatchesPerWriter = 48;
-    ShardedSnapshotStore::Options ShOpts;
+    SnapshotStore::Options ShOpts;
     ShOpts.NumShards = 8;
     ShOpts.CompactionThreshold = 1e9; // apply cost only, like the repair runs
-    SnapshotStore::Options PlOpts;
-    PlOpts.CompactionThreshold = 1e9;
+    SnapshotStore::Options PlOpts = ShOpts;
+    PlOpts.NumShards = 1;
 
     Count Span;
     {
-      ShardedSnapshotStore Probe(Base, ShOpts);
+      SnapshotStore Probe(Base, ShOpts);
       Span = Probe.shardSpan();
     }
     std::vector<std::vector<std::vector<EdgeUpdate>>> PerWriter =
@@ -429,7 +427,7 @@ int main() {
 
     double BestSharded = 1e30, BestPlain = 1e30;
     for (int T = 0; T < numTrials(); ++T) {
-      ShardedSnapshotStore Sharded(Base, ShOpts);
+      SnapshotStore Sharded(Base, ShOpts);
       SnapshotStore Plain(Base, PlOpts);
       BestSharded = std::min(BestSharded, runApplyThreads(Sharded, PerWriter));
       BestPlain = std::min(BestPlain, runApplyThreads(Plain, PerWriter));
@@ -439,7 +437,7 @@ int main() {
           deltaSteppingSSSP(*Plain.current(), Depot, S).Dist);
       if (CS != CP) {
         std::fprintf(stderr,
-                     "!! sharded/unsharded adjacency checksum mismatch: "
+                     "!! 8-shard/one-shard adjacency checksum mismatch: "
                      "%lld vs %lld\n",
                      (long long)CS, (long long)CP);
         return 1;
@@ -447,34 +445,35 @@ int main() {
     }
     std::printf("{\"bench\": \"update_throughput_sharded\", "
                 "\"updates\": %lld, \"threads\": %d, \"sharded_s\": %.6f, "
-                "\"unsharded_s\": %.6f, \"speedup\": %.2f, "
+                "\"one_shard_s\": %.6f, \"speedup\": %.2f, "
                 "\"tolerance\": 0.50}\n",
                 (long long)UpdatesPerBatch, Writers, BestSharded, BestPlain,
                 BestPlain / BestSharded);
     std::fflush(stdout);
   }
 
-  // --- Per-shard incremental compaction vs the legacy global rebuild:
-  // the same multi-writer streams with thresholds low enough that folds
-  // trip throughout. The incremental path folds one shard under that
-  // shard's writer lock while the other writers keep publishing; the
-  // legacy path rebuilds the whole store per trigger. Gated on both the
-  // per-batch p99 and the batch throughput — and the bench itself fails
-  // unless incremental wins both with bit-identical final distances.
+  // --- Per-shard incremental compaction vs one shard: the same
+  // multi-writer streams with thresholds low enough that folds trip
+  // throughout. The 8-shard store folds one shard under that shard's
+  // writer lock while the other writers keep publishing; the one-shard
+  // store serializes every writer on its one lock and folds the whole
+  // graph per trigger. Gated on both the per-batch p99 and the batch
+  // throughput — and the bench itself fails unless the 8-shard store
+  // wins both with bit-identical final distances.
   {
     const int Writers = 4;
     const Count UpdatesPerBatch = 64;
     const int BatchesPerWriter = 48;
-    ShardedSnapshotStore::Options IncOpts;
+    SnapshotStore::Options IncOpts;
     IncOpts.NumShards = 8;
     IncOpts.CompactionThreshold = 0.001;
     IncOpts.MinOverlayEdges = 256;
-    ShardedSnapshotStore::Options GloOpts = IncOpts;
-    GloOpts.LegacyGlobalRebuild = true;
+    SnapshotStore::Options OneOpts = IncOpts;
+    OneOpts.NumShards = 1;
 
     Count Span;
     {
-      ShardedSnapshotStore Probe(Base, IncOpts);
+      SnapshotStore Probe(Base, IncOpts);
       Span = Probe.shardSpan();
     }
     std::vector<std::vector<std::vector<EdgeUpdate>>> PerWriter =
@@ -485,32 +484,32 @@ int main() {
 
     const double TotalBatches =
         static_cast<double>(Writers) * BatchesPerWriter;
-    double IncP99 = 1e30, GloP99 = 1e30, IncWall = 1e30, GloWall = 1e30;
-    uint64_t Folds = 0, Reclaimed = 0, GlobalRebuilds = 0;
+    double IncP99 = 1e30, OneP99 = 1e30, IncWall = 1e30, OneWall = 1e30;
+    uint64_t Folds = 0, Reclaimed = 0, OneShardFolds = 0;
     for (int T = 0; T < numTrials(); ++T) {
-      ShardedSnapshotStore Inc(Base, IncOpts);
+      SnapshotStore Inc(Base, IncOpts);
       LatencyRun RI = runCompactingWriters(Inc, PerWriter);
-      ShardedSnapshotStore Glo(Base, GloOpts);
-      LatencyRun RG = runCompactingWriters(Glo, PerWriter);
+      SnapshotStore One(Base, OneOpts);
+      LatencyRun RO = runCompactingWriters(One, PerWriter);
 
       std::vector<Priority> DI =
           deltaSteppingSSSP(*Inc.current(), Depot, S).Dist;
-      std::vector<Priority> DG =
-          deltaSteppingSSSP(*Glo.current(), Depot, S).Dist;
-      if (DI != DG) {
-        std::fprintf(stderr, "!! incremental/global distance mismatch "
+      std::vector<Priority> DO =
+          deltaSteppingSSSP(*One.current(), Depot, S).Dist;
+      if (DI != DO) {
+        std::fprintf(stderr, "!! 8-shard/one-shard distance mismatch "
                              "after compacting run\n");
         return 1;
       }
       IncP99 = std::min(IncP99, RI.P99Micros);
-      GloP99 = std::min(GloP99, RG.P99Micros);
+      OneP99 = std::min(OneP99, RO.P99Micros);
       IncWall = std::min(IncWall, RI.WallSeconds);
-      GloWall = std::min(GloWall, RG.WallSeconds);
+      OneWall = std::min(OneWall, RO.WallSeconds);
       Folds = 0;
       for (int Sh = 0; Sh < Inc.numShards(); ++Sh)
         Folds += Inc.shardFolds(Sh);
       Reclaimed = Inc.reclaimedTombstones();
-      GlobalRebuilds = Glo.compactions();
+      OneShardFolds = One.compactions();
     }
     if (Folds == 0) {
       std::fprintf(stderr, "!! compacting run tripped no per-shard fold — "
@@ -518,29 +517,29 @@ int main() {
       return 1;
     }
     const double IncQps = TotalBatches / IncWall;
-    const double GloQps = TotalBatches / GloWall;
-    if (IncP99 > GloP99 || IncQps < GloQps) {
+    const double OneQps = TotalBatches / OneWall;
+    if (IncP99 > OneP99 || IncQps < OneQps) {
       std::fprintf(stderr,
-                   "!! incremental per-shard folds must beat the global "
-                   "rebuild: p99 %.0fus vs %.0fus, qps %.0f vs %.0f\n",
-                   IncP99, GloP99, IncQps, GloQps);
+                   "!! 8-shard incremental folds must beat the one-shard "
+                   "store: p99 %.0fus vs %.0fus, qps %.0f vs %.0f\n",
+                   IncP99, OneP99, IncQps, OneQps);
       return 1;
     }
     std::printf("{\"bench\": \"sharded_compacting\", \"mode\": \"p99\", "
                 "\"updates\": %lld, \"threads\": %d, "
-                "\"incremental_p99_us\": %.1f, \"global_p99_us\": %.1f, "
+                "\"incremental_p99_us\": %.1f, \"one_shard_p99_us\": %.1f, "
                 "\"speedup\": %.2f, \"folds\": %llu, "
                 "\"reclaimed_tombstones\": %llu, \"tolerance\": 0.50}\n",
-                (long long)UpdatesPerBatch, Writers, IncP99, GloP99,
-                GloP99 / IncP99, (unsigned long long)Folds,
+                (long long)UpdatesPerBatch, Writers, IncP99, OneP99,
+                OneP99 / IncP99, (unsigned long long)Folds,
                 (unsigned long long)Reclaimed);
     std::printf("{\"bench\": \"sharded_compacting\", \"mode\": \"qps\", "
                 "\"updates\": %lld, \"threads\": %d, "
-                "\"incremental_qps\": %.1f, \"global_qps\": %.1f, "
-                "\"speedup\": %.2f, \"global_rebuilds\": %llu, "
+                "\"incremental_qps\": %.1f, \"one_shard_qps\": %.1f, "
+                "\"speedup\": %.2f, \"one_shard_folds\": %llu, "
                 "\"tolerance\": 0.50}\n",
-                (long long)UpdatesPerBatch, Writers, IncQps, GloQps,
-                IncQps / GloQps, (unsigned long long)GlobalRebuilds);
+                (long long)UpdatesPerBatch, Writers, IncQps, OneQps,
+                IncQps / OneQps, (unsigned long long)OneShardFolds);
     std::fflush(stdout);
   }
   return 0;

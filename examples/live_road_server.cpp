@@ -23,11 +23,11 @@
 // through tickets + tryCollect — nothing in the client path can abort on
 // a bad ticket, and every submitted query resolves with a typed status.
 //
-// Pass `--sharded` to serve the same demo from a ShardedSnapshotStore
-// through the identical engine code (BasicQueryEngine is a template over
-// the Store concept): writers take per-shard locks, compaction folds one
-// shard at a time in the background, and the final report breaks the
-// fold counters out per shard.
+// Pass `--sharded` to serve the same demo from an 8-shard store instead of
+// the one-shard default through the identical engine code: writers take
+// per-shard locks, compaction folds one shard at a time in the
+// background, and the final report breaks the fold counters out per
+// shard.
 //
 // Build: cmake --build build --target example_live_road_server
 //
@@ -51,7 +51,6 @@
 #include <cstring>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 using namespace graphit;
@@ -64,10 +63,8 @@ constexpr Count kSide = 150;
 /// Lowest weight the live A* coordinate heuristic tolerates on (U, V):
 /// the road generator guarantees weight >= 100 x Euclidean length, and
 /// every reopening must respect the same floor or the heuristic loses
-/// admissibility (see algorithms/AStar.h). Templated so the sharded
-/// composite view (ShardedDeltaView) serves the same helper.
-template <typename GraphT>
-Weight heuristicFloor(const GraphT &G, VertexId U, VertexId V) {
+/// admissibility (see algorithms/AStar.h).
+Weight heuristicFloor(const ShardedDeltaView &G, VertexId U, VertexId V) {
   const Coordinates &C = G.coordinates();
   double DX = C.X[U] - C.X[V];
   double DY = C.Y[U] - C.Y[V];
@@ -76,8 +73,7 @@ Weight heuristicFloor(const GraphT &G, VertexId U, VertexId V) {
 }
 
 /// One round of traffic incidents against the current map version.
-template <typename GraphT>
-std::vector<EdgeUpdate> incidents(const GraphT &G, Count HowMany,
+std::vector<EdgeUpdate> incidents(const ShardedDeltaView &G, Count HowMany,
                                   SplitMix64 &Rng) {
   std::vector<EdgeUpdate> Batch;
   const Count N = G.numNodes();
@@ -108,22 +104,13 @@ std::vector<EdgeUpdate> incidents(const GraphT &G, Count HowMany,
   return Batch;
 }
 
-Count overlayEdgesOf(const DeltaGraph &G) { return G.overlayEdges(); }
-Count overlayEdgesOf(const ShardedDeltaView &V) {
-  Count Sum = 0;
-  for (const std::shared_ptr<const DeltaGraph> &S : V.shards())
-    Sum += S->overlayEdges();
-  return Sum;
-}
-
-/// The whole demo, generic over the Store concept — the exact code path
-/// the engine runs in production for either store.
-template <typename StoreT>
-int runServer(StoreT &Store) {
+/// The whole demo — the exact code path the engine runs in production at
+/// any shard count.
+int runServer(SnapshotStore &Store) {
   Schedule S;
   S.configApplyPriorityUpdateDelta(1024); // local point-to-point Δ
 
-  typename BasicQueryEngine<StoreT>::Options Opts;
+  QueryEngine::Options Opts;
   Opts.NumWorkers = 4;
   Opts.DefaultSchedule = S;
   // Overload policy: past 512 queued queries shed the least-important
@@ -131,7 +118,7 @@ int runServer(StoreT &Store) {
   // impose deadlines on point queries so the queue drains gracefully.
   Opts.AdmissionHighWater = 512;
   Opts.AdmissionSoftWater = 128;
-  BasicQueryEngine<StoreT> Engine(Store, Opts);
+  QueryEngine Engine(Store, Opts);
 
   // Writer: a steady stream of incident batches racing the queries.
   std::atomic<bool> Done{false};
@@ -199,13 +186,13 @@ int runServer(StoreT &Store) {
       }
     }
     double Sec = Clock.seconds();
-    typename StoreT::Snapshot Snap = Store.current();
+    SnapshotStore::Snapshot Snap = Store.current();
     std::printf("round %d: %zu queries in %.3fs (%.0f qps) | ok %zu, "
                 "expired %zu, shed %zu | version %llu, overlay %lld edges, "
                 "%llu compactions\n",
                 Round, Tickets.size(), Sec, Tickets.size() / Sec, Ok,
                 Expired, Shed, (unsigned long long)Store.version(),
-                (long long)overlayEdgesOf(*Snap),
+                (long long)Snap->overlayEdges(),
                 (unsigned long long)Store.compactions());
     std::printf("  latency (us): p50 %llu, p95 %llu, p99 %llu, max %llu "
                 "over %llu completed trips\n",
@@ -229,7 +216,7 @@ int runServer(StoreT &Store) {
   RepairScratch Scratch;
   SplitMix64 Rng(7);
   for (int B = 0; B < 3; ++B) {
-    typename StoreT::ApplyResult A =
+    SnapshotStore::ApplyResult A =
         Store.applyUpdates(incidents(*Store.current(), 16, Rng));
     Timer RepairClock;
     RepairStats R =
@@ -254,19 +241,16 @@ int runServer(StoreT &Store) {
   std::printf("final: version %llu, %llu compactions, overlay %lld edges\n",
               (unsigned long long)Store.version(),
               (unsigned long long)Store.compactions(),
-              (long long)overlayEdgesOf(*Store.current()));
-  if constexpr (std::is_same_v<StoreT, ShardedSnapshotStore>) {
-    // Per-shard compaction report: every fold here held exactly one
-    // shard's writer lock while the other shards kept publishing.
-    std::printf("per-shard folds:");
-    for (int Sh = 0; Sh < Store.numShards(); ++Sh)
-      std::printf(" [%d] %llu%s", Sh,
-                  (unsigned long long)Store.shardFolds(Sh),
-                  Store.shardDegraded(Sh) ? " (degraded)" : "");
-    std::printf(" | tombstones reclaimed %llu | degraded: %s\n",
-                (unsigned long long)Store.reclaimedTombstones(),
-                Store.degraded() ? "yes" : "no");
-  }
+              (long long)Store.current()->overlayEdges());
+  // Per-shard compaction report: every fold here held exactly one shard's
+  // writer lock while the other shards kept publishing.
+  std::printf("per-shard folds:");
+  for (int Sh = 0; Sh < Store.numShards(); ++Sh)
+    std::printf(" [%d] %llu%s", Sh, (unsigned long long)Store.shardFolds(Sh),
+                Store.shardDegraded(Sh) ? " (degraded)" : "");
+  std::printf(" | tombstones reclaimed %llu | degraded: %s\n",
+              (unsigned long long)Store.reclaimedTombstones(),
+              Store.degraded() ? "yes" : "no");
   return 0;
 }
 
@@ -292,18 +276,10 @@ int main(int argc, char **argv) {
               "%lld directed edges (%s store) ==\n",
               (long long)kSide, (long long)kSide,
               (long long)Base.numNodes(), (long long)Base.numEdges(),
-              Sharded ? "sharded" : "unsharded");
+              Sharded ? "8-shard" : "one-shard");
 
-  if (Sharded) {
-    ShardedSnapshotStore::Options StoreOpts;
-    StoreOpts.NumShards = 8;
-    StoreOpts.CompactionThreshold = 0.02; // compact early for the demo
-    StoreOpts.MinOverlayEdges = 1 << 10;
-    StoreOpts.BackgroundCompaction = true;
-    ShardedSnapshotStore Store(std::move(Base), StoreOpts);
-    return runServer(Store);
-  }
   SnapshotStore::Options StoreOpts;
+  StoreOpts.NumShards = Sharded ? 8 : 1;
   StoreOpts.CompactionThreshold = 0.02; // compact early for the demo
   StoreOpts.MinOverlayEdges = 1 << 10;
   StoreOpts.BackgroundCompaction = true;

@@ -31,11 +31,11 @@ import os
 import re
 import sys
 
-# Struct -> (header path, doc heading fragment). A doc heading matches if
-# it contains the struct name (so "### `BasicQueryEngine::Options`" works).
+# Struct -> header path. A doc heading matches if it contains the struct
+# name (so "### `QueryEngine::Options`" works). SnapshotStore is an alias
+# of ShardedSnapshotStore, so the store has one Options struct.
 OPTION_STRUCTS = {
-    "BasicQueryEngine::Options": "src/service/QueryEngine.h",
-    "SnapshotStore::Options": "src/service/SnapshotStore.h",
+    "QueryEngine::Options": "src/service/QueryEngine.h",
     "ShardedSnapshotStore::Options": "src/service/SnapshotStore.h",
 }
 
@@ -171,8 +171,8 @@ def doc_tables(root):
             m = HEADING_RE.match(line)
             if m:
                 heading = m.group(1).replace("`", "")
-                # Longest name first: "SnapshotStore::Options" is a
-                # substring of "ShardedSnapshotStore::Options".
+                # Longest name first, so a struct name contained in
+                # another never claims the other's table.
                 current = next((s for s in sorted(OPTION_STRUCTS,
                                                   key=len, reverse=True)
                                 if s in heading), None)

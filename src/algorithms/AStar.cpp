@@ -51,8 +51,8 @@ PPSPResult aStarRun(const GraphT &G, VertexId Source, VertexId Target,
 }
 
 /// The one definition of the coordinate bound, shared by every entry
-/// point (Graph, DeltaGraph, pooled, fresh). Edge weights are >= 100 x
-/// Euclidean length; the factor 50 leaves slack so the floor-rounded
+/// point (Graph, ShardedDeltaView, pooled, fresh). Edge weights are
+/// >= 100 x Euclidean length; the factor 50 leaves slack so the floor-rounded
 /// heuristic stays consistent:
 ///   h(u) - h(v) <= 50 e(u,v) + 1 <= 100 e(u,v) <= w(u,v)
 /// (edge lengths are >= 0.02 units by construction).
@@ -108,14 +108,6 @@ PPSPResult aStarPooled(const GraphT &G, VertexId Source, VertexId Target,
 } // namespace
 
 PPSPResult graphit::aStarSearch(const Graph &G, VertexId Source,
-                                VertexId Target, const Schedule &S,
-                                DistanceState &State,
-                                const AStarHeuristic *Heur,
-                                const RunLimits &Limits) {
-  return aStarPooled(G, Source, Target, S, State, Heur, Limits);
-}
-
-PPSPResult graphit::aStarSearch(const DeltaGraph &G, VertexId Source,
                                 VertexId Target, const Schedule &S,
                                 DistanceState &State,
                                 const AStarHeuristic *Heur,

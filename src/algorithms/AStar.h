@@ -53,19 +53,12 @@ PPSPResult aStarSearch(const Graph &G, VertexId Source, VertexId Target,
                        const AStarHeuristic *Heur = nullptr,
                        const RunLimits &Limits = RunLimits{});
 
-/// Live-graph variant over a delta-overlay snapshot view
-/// (graph/DeltaGraph.h). The coordinate heuristic reads the base graph's
-/// coordinates; it stays admissible as long as every live insert/decrease
-/// respects the generator's weight ≥ 100 × Euclidean-length invariant
-/// (deletions and weight increases can never break admissibility).
-PPSPResult aStarSearch(const DeltaGraph &G, VertexId Source,
-                       VertexId Target, const Schedule &S,
-                       DistanceState &State,
-                       const AStarHeuristic *Heur = nullptr,
-                       const RunLimits &Limits = RunLimits{});
-
-/// Sharded composite view (graph/DeltaGraph.h ShardedDeltaView); the
-/// coordinate heuristic reads the store-wide coordinate table via shard 0.
+/// Live-graph variant over a snapshot store's published view
+/// (graph/DeltaGraph.h ShardedDeltaView). The coordinate heuristic reads
+/// the store-wide coordinate table via shard 0; it stays admissible as
+/// long as every live insert/decrease respects the generator's weight ≥
+/// 100 × Euclidean-length invariant (deletions and weight increases can
+/// never break admissibility).
 PPSPResult aStarSearch(const ShardedDeltaView &G, VertexId Source,
                        VertexId Target, const Schedule &S,
                        DistanceState &State,

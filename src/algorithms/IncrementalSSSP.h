@@ -103,7 +103,8 @@ private:
 /// holds the exact distances on \p G, the post-delta view. \p Delta is the
 /// directed transition list `DeltaGraph::apply` / the snapshot store
 /// returned for the batch — at most one record per directed edge
-/// (coalesced old→new weights). Works on `Graph` and `DeltaGraph` alike.
+/// (coalesced old→new weights). Works on `Graph`, `DeltaGraph` and
+/// `ShardedDeltaView` alike.
 template <typename GraphT>
 RepairStats repairAfterUpdates(const GraphT &G,
                                const std::vector<AppliedUpdate> &Delta,

@@ -88,22 +88,6 @@ PPSPResult graphit::pointToPointShortestPath(const Graph &G,
   return ppspPooled(G, Source, Target, S, State, Limits);
 }
 
-PPSPResult graphit::pointToPointShortestPath(const DeltaGraph &G,
-                                             VertexId Source,
-                                             VertexId Target,
-                                             const Schedule &S) {
-  return ppspFresh(G, Source, Target, S);
-}
-
-PPSPResult graphit::pointToPointShortestPath(const DeltaGraph &G,
-                                             VertexId Source,
-                                             VertexId Target,
-                                             const Schedule &S,
-                                             DistanceState &State,
-                                             const RunLimits &Limits) {
-  return ppspPooled(G, Source, Target, S, State, Limits);
-}
-
 PPSPResult graphit::pointToPointShortestPath(const ShardedDeltaView &G,
                                              VertexId Source,
                                              VertexId Target,

@@ -44,7 +44,6 @@ PPSPResult pointToPointShortestPath(const Graph &G, VertexId Source,
                                     VertexId Target, const Schedule &S);
 
 class DistanceState;
-class DeltaGraph;
 class ShardedDeltaView;
 
 /// Pooled-state variant (O(touched) setup; see algorithms/QueryState.h).
@@ -56,17 +55,9 @@ PPSPResult pointToPointShortestPath(const Graph &G, VertexId Source,
                                     DistanceState &State,
                                     const RunLimits &Limits = RunLimits{});
 
-/// Live-graph variants over a delta-overlay snapshot view
-/// (graph/DeltaGraph.h).
-PPSPResult pointToPointShortestPath(const DeltaGraph &G, VertexId Source,
-                                    VertexId Target, const Schedule &S);
-PPSPResult pointToPointShortestPath(const DeltaGraph &G, VertexId Source,
-                                    VertexId Target, const Schedule &S,
-                                    DistanceState &State,
-                                    const RunLimits &Limits = RunLimits{});
-
-/// Sharded composite view (graph/DeltaGraph.h ShardedDeltaView): per-vertex
-/// reads route to the owning shard's overlay; the algorithm core is shared.
+/// Live-graph variants over a snapshot store's published view
+/// (graph/DeltaGraph.h ShardedDeltaView): per-vertex reads route to the
+/// owning shard's overlay; the algorithm core is shared.
 PPSPResult pointToPointShortestPath(const ShardedDeltaView &G,
                                     VertexId Source, VertexId Target,
                                     const Schedule &S);

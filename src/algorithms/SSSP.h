@@ -53,9 +53,9 @@ OrderedStats deltaSteppingSSSP(const Graph &G, VertexId Source,
                                const Schedule &S, DistanceState &State,
                                const CancelToken *Cancel = nullptr);
 
-/// Live-graph variants over a delta-overlay snapshot view
-/// (graph/DeltaGraph.h): identical semantics, unified neighbor iteration
-/// through the overlay.
+/// Variants over a bare delta overlay (graph/DeltaGraph.h) — the reference
+/// overlay the store tests check served answers against: identical
+/// semantics, unified neighbor iteration through the overlay.
 SSSPResult deltaSteppingSSSP(const DeltaGraph &G, VertexId Source,
                              const Schedule &S);
 OrderedStats deltaSteppingSSSP(const DeltaGraph &G, VertexId Source,
@@ -64,7 +64,7 @@ OrderedStats deltaSteppingSSSP(const DeltaGraph &G, VertexId Source,
 
 class ShardedDeltaView;
 
-/// Scale-out variants over a sharded store's published composite view
+/// Live-graph variants over a snapshot store's published view
 /// (graph/DeltaGraph.h ShardedDeltaView): per-vertex reads route to the
 /// owning shard's overlay; results are bit-identical to running over an
 /// equivalent single overlay (the stress harness asserts exactly that).

@@ -15,11 +15,12 @@
 /// unmodified against a delta view.
 ///
 /// This is the representation behind live-graph serving
-/// (service/SnapshotStore.h): writers mutate a private `DeltaGraph`,
-/// publish immutable copies of it as refcounted snapshot versions, and
-/// compact the overlay back into a fresh CSR (`compact()`) once it exceeds
-/// a threshold. The overlay's read cost is one array lookup per vertex on
-/// top of CSR, so queries on a lightly-patched view run at base speed.
+/// (service/SnapshotStore.h): each store shard's writer mutates a private
+/// `DeltaGraph`, publishes immutable copies of it as refcounted snapshot
+/// versions, and folds its overlay into a fresh base segment
+/// (`compactRange()`) once it exceeds a threshold. The overlay's read cost
+/// is one array lookup per vertex on top of CSR, so queries on a
+/// lightly-patched view run at base speed.
 ///
 /// The vertex universe *grows at the tail*: `growUniverse`/`addVertex`
 /// append fresh vertices with ids >= the base graph's node count. Tail
@@ -109,11 +110,11 @@ struct BaseSegment {
 /// dirty-since-last-publish lists are ever deep-copied.
 ///
 /// Concurrency contract: all copies of a given writer and all mutations of
-/// it are serialized by the owner (SnapshotStore holds its writer mutex
-/// across both). Snapshots may be *read and released* from any thread —
-/// releasing only decrements refcounts, which can make a `use_count()`
-/// observed by the serialized writer stale-high, never stale-low, so the
-/// worst case is one unnecessary clone.
+/// it are serialized by the owner (the snapshot store holds the shard's
+/// writer mutex across both). Snapshots may be *read and released* from
+/// any thread — releasing only decrements refcounts, which can make a
+/// `use_count()` observed by the serialized writer stale-high, never
+/// stale-low, so the worst case is one unnecessary clone.
 class DeltaGraph {
 public:
   DeltaGraph() = default;
@@ -523,6 +524,15 @@ public:
     return Sum;
   }
   void prefetchOutRow(VertexId V) const { at(V).prefetchOutRow(V); }
+
+  /// Edges resident in patch lists, summed over shards (each shard's
+  /// overlay only ever patches its own vertices).
+  Count overlayEdges() const {
+    Count Sum = 0;
+    for (const std::shared_ptr<const DeltaGraph> &S : Shards)
+      Sum += S->overlayEdges();
+    return Sum;
+  }
 
   /// Merges every shard's overlay + the shared base into one fresh CSR
   /// (same deterministic layout as DeltaGraph::compact). O(V + E).

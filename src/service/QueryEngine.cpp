@@ -34,8 +34,7 @@ int clampClass(int C) {
 }
 } // namespace
 
-template <class StoreT>
-void BasicQueryEngine<StoreT>::startWorkers() {
+void QueryEngine::startWorkers() {
   {
     // The controlled knobs start at (and, with the controller off, stay
     // at) their configured values; the configured values remain the
@@ -58,8 +57,7 @@ void BasicQueryEngine<StoreT>::startWorkers() {
     Workers.emplace_back([this] { workerLoop(); });
 }
 
-template <class StoreT>
-BasicQueryEngine<StoreT>::BasicQueryEngine(const Graph &G, Options O)
+QueryEngine::QueryEngine(const Graph &G, Options O)
     : StaticG(&G), NumNodes(G.numNodes()),
       HasCoordinates(G.hasCoordinates()), Opts(O), OwnMap(G.numNodes()),
       Map(&OwnMap), Pool(G.numNodes(), O.TrackParents) {
@@ -78,8 +76,7 @@ BasicQueryEngine<StoreT>::BasicQueryEngine(const Graph &G, Options O)
   startWorkers();
 }
 
-template <class StoreT>
-BasicQueryEngine<StoreT>::BasicQueryEngine(StoreT &S, Options O)
+QueryEngine::QueryEngine(SnapshotStore &S, Options O)
     : Store(&S), NumNodes(S.current()->numNodes()),
       HasCoordinates(S.current()->hasCoordinates()), Opts(O),
       Map(&S.mapping()), Pool(NumNodes, O.TrackParents) {
@@ -104,9 +101,8 @@ BasicQueryEngine<StoreT>::BasicQueryEngine(StoreT &S, Options O)
   startWorkers();
 }
 
-template <class StoreT>
-void BasicQueryEngine<StoreT>::noteAppliedBatch(
-    const typename StoreT::ApplyResult &R, bool WasAdmissible) {
+void QueryEngine::noteAppliedBatch(const SnapshotStore::ApplyResult &R,
+                                   bool WasAdmissible) {
   // Exact admissibility test on the coalesced transitions: an insert
   // (OldW absent) or a strict decrease shrinks some true distance, which
   // can push it below a landmark bound. Deletes and increases only grow
@@ -145,12 +141,11 @@ void BasicQueryEngine<StoreT>::noteAppliedBatch(
   }
 }
 
-template <class StoreT>
-typename StoreT::ApplyResult
-BasicQueryEngine<StoreT>::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
+SnapshotStore::ApplyResult
+QueryEngine::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   if (!Store)
     fatalError("QueryEngine::applyUpdates: engine serves a fixed graph");
-  typename StoreT::ApplyResult R;
+  SnapshotStore::ApplyResult R;
   if (Opts.NumLandmarks <= 0) {
     R = Store->applyUpdates(Batch);
   } else {
@@ -186,8 +181,7 @@ BasicQueryEngine<StoreT>::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   return R;
 }
 
-template <class StoreT>
-VertexId BasicQueryEngine<StoreT>::addVertices(Count HowMany,
+VertexId QueryEngine::addVertices(Count HowMany,
                                   const Coordinates *TailCoords) {
   if (!Store)
     fatalError("QueryEngine::addVertices: engine serves a fixed graph");
@@ -233,8 +227,7 @@ VertexId BasicQueryEngine<StoreT>::addVertices(Count HowMany,
   return First;
 }
 
-template <class StoreT>
-bool BasicQueryEngine<StoreT>::serveFromHot(const Query &QI, uint64_t Ver,
+bool QueryEngine::serveFromHot(const Query &QI, uint64_t Ver,
                                QueryResult &R) const {
   std::shared_ptr<const DistanceState> St = HotCache->lookup(QI.Source, Ver);
   if (!St)
@@ -267,34 +260,29 @@ bool BasicQueryEngine<StoreT>::serveFromHot(const Query &QI, uint64_t Ver,
   return true;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::hotHits() const {
+uint64_t QueryEngine::hotHits() const {
   return HotHits_.load(std::memory_order_relaxed);
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::hotRepairs() const {
+uint64_t QueryEngine::hotRepairs() const {
   return HotCache ? HotCache->repairs() : 0;
 }
 
-template <class StoreT>
-size_t BasicQueryEngine<StoreT>::hotStatesCached() const {
+size_t QueryEngine::hotStatesCached() const {
   return HotCache ? HotCache->size() : 0;
 }
 
-template <class StoreT>
-int64_t BasicQueryEngine<StoreT>::batchWindowMicros() const {
+int64_t QueryEngine::batchWindowMicros() const {
   MutexLock Lock(Mu);
   return BatchWindow_;
 }
 
-template <class StoreT>
-int64_t BasicQueryEngine<StoreT>::maxBatchWindowMicros() const {
+int64_t QueryEngine::maxBatchWindowMicros() const {
   MutexLock Lock(Mu);
   return BatchWindowMax_;
 }
 
-template <class StoreT> BasicQueryEngine<StoreT>::~BasicQueryEngine() {
+QueryEngine::~QueryEngine() {
   {
     MutexLock Lock(Mu);
     ShuttingDown = true;
@@ -304,8 +292,7 @@ template <class StoreT> BasicQueryEngine<StoreT>::~BasicQueryEngine() {
     W.join();
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::submit(Query Q) {
+uint64_t QueryEngine::submit(Query Q) {
   // Malformed requests must not abort a serving process: reject them as
   // an immediately-collectible failed result. SSSP may omit the target
   // (kInvalidVertex); any *present* target must be in range, and A* needs
@@ -332,7 +319,6 @@ uint64_t BasicQueryEngine<StoreT>::submit(Query Q) {
     if (!Valid) {
       QueryResult R;
       R.Status = QueryStatus::Failed;
-      R.Failed = true;
       Finished.emplace(Ticket, std::move(R));
       Resolved = true;
     } else {
@@ -413,8 +399,7 @@ uint64_t BasicQueryEngine<StoreT>::submit(Query Q) {
   return Ticket;
 }
 
-template <class StoreT>
-QueryResult BasicQueryEngine<StoreT>::collect(uint64_t Ticket) {
+QueryResult QueryEngine::collect(uint64_t Ticket) {
   MutexLock Lock(Mu);
   // An unknown or already-collected ticket would block forever below —
   // that is a caller bug, so fail fast instead of wedging the thread. The
@@ -430,9 +415,7 @@ QueryResult BasicQueryEngine<StoreT>::collect(uint64_t Ticket) {
   return R;
 }
 
-template <class StoreT>
-std::optional<QueryResult>
-BasicQueryEngine<StoreT>::tryCollect(uint64_t Ticket) {
+std::optional<QueryResult> QueryEngine::tryCollect(uint64_t Ticket) {
   MutexLock Lock(Mu);
   // Same claim-then-wait protocol as collect(), but an unknown or
   // already-collected ticket is a recoverable nullopt — a server loop
@@ -447,9 +430,8 @@ BasicQueryEngine<StoreT>::tryCollect(uint64_t Ticket) {
   return R;
 }
 
-template <class StoreT>
 std::vector<QueryResult>
-BasicQueryEngine<StoreT>::runBatch(const std::vector<Query> &Batch) {
+QueryEngine::runBatch(const std::vector<Query> &Batch) {
   std::vector<uint64_t> Tickets;
   Tickets.reserve(Batch.size());
   for (const Query &Q : Batch)
@@ -461,20 +443,17 @@ BasicQueryEngine<StoreT>::runBatch(const std::vector<Query> &Batch) {
   return Results;
 }
 
-template <class StoreT>
-OrderedStats BasicQueryEngine<StoreT>::aggregateStats() const {
+OrderedStats QueryEngine::aggregateStats() const {
   MutexLock Lock(Mu);
   return Aggregate;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesServed() const {
+uint64_t QueryEngine::queriesServed() const {
   MutexLock Lock(Mu);
   return Served;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesShed() const {
+uint64_t QueryEngine::queriesShed() const {
   MutexLock Lock(Mu);
   uint64_t Total = 0;
   for (uint64_t C : Sheds_)
@@ -482,8 +461,7 @@ uint64_t BasicQueryEngine<StoreT>::queriesShed() const {
   return Total;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::deadlinesExceeded() const {
+uint64_t QueryEngine::deadlinesExceeded() const {
   MutexLock Lock(Mu);
   uint64_t Total = 0;
   for (uint64_t C : DeadlineExceeded_)
@@ -491,8 +469,7 @@ uint64_t BasicQueryEngine<StoreT>::deadlinesExceeded() const {
   return Total;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesDegraded() const {
+uint64_t QueryEngine::queriesDegraded() const {
   MutexLock Lock(Mu);
   uint64_t Total = 0;
   for (uint64_t C : Degraded_)
@@ -500,96 +477,77 @@ uint64_t BasicQueryEngine<StoreT>::queriesDegraded() const {
   return Total;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesServedInClass(int Class) const {
+uint64_t QueryEngine::queriesServedInClass(int Class) const {
   MutexLock Lock(Mu);
   return ServedClass_[clampClass(Class)];
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesShedInClass(int Class) const {
+uint64_t QueryEngine::queriesShedInClass(int Class) const {
   MutexLock Lock(Mu);
   return Sheds_[clampClass(Class)];
 }
 
-template <class StoreT>
-uint64_t
-BasicQueryEngine<StoreT>::deadlinesExceededInClass(int Class) const {
+uint64_t QueryEngine::deadlinesExceededInClass(int Class) const {
   MutexLock Lock(Mu);
   return DeadlineExceeded_[clampClass(Class)];
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesDegradedInClass(int Class) const {
+uint64_t QueryEngine::queriesDegradedInClass(int Class) const {
   MutexLock Lock(Mu);
   return Degraded_[clampClass(Class)];
 }
 
-template <class StoreT>
-double BasicQueryEngine<StoreT>::serviceEwmaMicros(QueryKind Kind,
-                                                   int Class) const {
+double QueryEngine::serviceEwmaMicros(QueryKind Kind, int Class) const {
   MutexLock Lock(Mu);
   return EwmaMicros[static_cast<int>(Kind)][clampClass(Class)];
 }
 
-template <class StoreT>
-LatencyHistogram::Snapshot
-BasicQueryEngine<StoreT>::classLatencySnapshot(int Class) const {
+LatencyHistogram::Snapshot QueryEngine::classLatencySnapshot(int Class) const {
   // Lock-free: the histograms are relaxed atomics, no Mu needed.
   return ClassLatency_[clampClass(Class)].snapshot();
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::controllerTicks() const {
+uint64_t QueryEngine::controllerTicks() const {
   MutexLock Lock(Mu);
   return CtlTicks_;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::controllerTightens() const {
+uint64_t QueryEngine::controllerTightens() const {
   MutexLock Lock(Mu);
   return CtlTightens_;
 }
 
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::controllerRelaxes() const {
+uint64_t QueryEngine::controllerRelaxes() const {
   MutexLock Lock(Mu);
   return CtlRelaxes_;
 }
 
-template <class StoreT>
-int64_t BasicQueryEngine<StoreT>::currentBatchDelayMicros() const {
+int64_t QueryEngine::currentBatchDelayMicros() const {
   MutexLock Lock(Mu);
   return CurBatchDelay_;
 }
 
-template <class StoreT>
-size_t BasicQueryEngine<StoreT>::currentHighWater() const {
+size_t QueryEngine::currentHighWater() const {
   MutexLock Lock(Mu);
   return CurHighWater_;
 }
 
-template <class StoreT>
-size_t BasicQueryEngine<StoreT>::currentSoftWater() const {
+size_t QueryEngine::currentSoftWater() const {
   MutexLock Lock(Mu);
   return CurSoftWater_;
 }
 
-template <class StoreT>
-std::vector<ControllerEvent>
-BasicQueryEngine<StoreT>::controllerTrace() const {
+std::vector<ControllerEvent> QueryEngine::controllerTrace() const {
   MutexLock Lock(Mu);
   return std::vector<ControllerEvent>(CtlTrace_.begin(), CtlTrace_.end());
 }
 
-template <class StoreT>
-size_t BasicQueryEngine<StoreT>::queueDepth() const {
+size_t QueryEngine::queueDepth() const {
   MutexLock Lock(Mu);
   return Pending.size();
 }
 
-template <class StoreT>
-void BasicQueryEngine<StoreT>::workerLoop() {
+void QueryEngine::workerLoop() {
   // Per-thread OpenMP ICV: each query's engine run forks this many
   // threads. Serving throughput wants 1 (queries are the parallelism);
   // the knob exists for few-but-huge query mixes.
@@ -736,8 +694,7 @@ void BasicQueryEngine<StoreT>::workerLoop() {
   }
 }
 
-template <class StoreT>
-void BasicQueryEngine<StoreT>::maybeControllerTick() {
+void QueryEngine::maybeControllerTick() {
   if (Opts.ControllerIntervalMicros <= 0)
     return;
   const auto Now = std::chrono::steady_clock::now();
@@ -920,9 +877,7 @@ std::vector<VertexId> extractPath(const GraphT &G, DistanceState &State,
 
 } // namespace
 
-template <class StoreT>
-std::shared_ptr<const LandmarkCache>
-BasicQueryEngine<StoreT>::landmarks() const {
+std::shared_ptr<const LandmarkCache> QueryEngine::landmarks() const {
   // Fixed-graph mode never mutates the cache after construction, but the
   // "immutable, read without the lock" special case was exactly the kind
   // of tribal-knowledge contract the thread-safety analysis exists to
@@ -931,8 +886,7 @@ BasicQueryEngine<StoreT>::landmarks() const {
   return Landmarks;
 }
 
-template <class StoreT>
-bool BasicQueryEngine<StoreT>::landmarksUsable() const {
+bool QueryEngine::landmarksUsable() const {
   // Both modes set LandmarksAdmissible with the cache (fixed-graph caches
   // are built admissible and never lapse), so one guarded read serves
   // both.
@@ -940,9 +894,8 @@ bool BasicQueryEngine<StoreT>::landmarksUsable() const {
   return Landmarks != nullptr && LandmarksAdmissible;
 }
 
-template <class StoreT>
 std::shared_ptr<const LandmarkCache>
-BasicQueryEngine<StoreT>::landmarksFor(uint64_t SnapVersion) const {
+QueryEngine::landmarksFor(uint64_t SnapVersion) const {
   // Fixed-graph queries pass SnapVersion 0 and the cache is built at
   // version 0 admissible, so the live-mode predicate below degenerates to
   // "return the cache" — no special case needed.
@@ -956,10 +909,8 @@ BasicQueryEngine<StoreT>::landmarksFor(uint64_t SnapVersion) const {
   return nullptr;
 }
 
-template <class StoreT>
-QueryResult BasicQueryEngine<StoreT>::runOne(const Query &Q,
-                                             DistanceState &State,
-                                             const CancelToken *Cancel) const {
+QueryResult QueryEngine::runOne(const Query &Q, DistanceState &State,
+                                const CancelToken *Cancel) const {
   // Translate endpoints into the internal layout; results are translated
   // back below, so callers only ever see original ids.
   Query QI = Q;
@@ -1021,9 +972,8 @@ QueryResult BasicQueryEngine<StoreT>::runOne(const Query &Q,
   return R;
 }
 
-template <class StoreT>
 template <typename GraphT>
-QueryResult BasicQueryEngine<StoreT>::runOneOn(
+QueryResult QueryEngine::runOneOn(
     const GraphT &G, const Query &Q, DistanceState &State,
     uint64_t SnapVersion, const CancelToken *Cancel) const {
   const Schedule &S = Q.Sched ? *Q.Sched : Opts.DefaultSchedule;
@@ -1124,12 +1074,10 @@ QueryResult BasicQueryEngine<StoreT>::runOneOn(
   return R;
 }
 
-template <class StoreT>
-typename StoreT::ApplyResult
-BasicQueryEngine<StoreT>::removeVertex(VertexId External) {
+SnapshotStore::ApplyResult QueryEngine::removeVertex(VertexId External) {
   if (!Store)
     fatalError("QueryEngine::removeVertex: engine serves a fixed graph");
-  typename StoreT::ApplyResult R;
+  SnapshotStore::ApplyResult R;
   if (Opts.NumLandmarks <= 0) {
     R = Store->removeVertex(External);
   } else {
@@ -1156,8 +1104,7 @@ BasicQueryEngine<StoreT>::removeVertex(VertexId External) {
   return R;
 }
 
-template <class StoreT>
-VertexId BasicQueryEngine<StoreT>::acquireVertex(const Coordinates *OneCoord) {
+VertexId QueryEngine::acquireVertex(const Coordinates *OneCoord) {
   if (!Store)
     fatalError("QueryEngine::acquireVertex: engine serves a fixed graph");
   // Serialize with engine-routed growth so the before/after universe
@@ -1193,16 +1140,6 @@ VertexId BasicQueryEngine<StoreT>::acquireVertex(const Coordinates *OneCoord) {
   return Id;
 }
 
-template <class StoreT>
-Count BasicQueryEngine<StoreT>::freeVertexCount() const {
+Count QueryEngine::freeVertexCount() const {
   return Store ? Store->freeVertexCount() : 0;
 }
-
-// The serving tier is compiled here once per supported store; the header
-// declares these as extern (see the Store concept in service/Store.h).
-namespace graphit {
-namespace service {
-template class BasicQueryEngine<SnapshotStore>;
-template class BasicQueryEngine<ShardedSnapshotStore>;
-} // namespace service
-} // namespace graphit

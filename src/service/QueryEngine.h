@@ -31,12 +31,12 @@
 /// results are bit-identical to sequential per-query runs (shortest-path
 /// distances are unique, and the early-exit predicates are exact).
 ///
-/// The engine is a template over the *Store* concept (service/Store.h):
-/// `BasicQueryEngine<SnapshotStore>` (aliased `QueryEngine`) serves the
-/// single-writer store, `BasicQueryEngine<ShardedSnapshotStore>` (aliased
-/// `ShardedQueryEngine`) the sharded multi-writer store — one serving
-/// implementation, every feature (pooled states, landmarks, hot-state
-/// repair and sharing, admission control, deadlines) available over both.
+/// In live mode the engine serves the snapshot store
+/// (service/SnapshotStore.h) at whatever shard count it was built with —
+/// one serving implementation, every feature (pooled states, landmarks,
+/// hot-state repair and sharing, admission control, deadlines) available
+/// over one shard or many. `ShardedQueryEngine` is another name for the
+/// same class.
 ///
 /// The operator's guide to the serving tier — every Options knob, the
 /// deadline/settled-prefix contract, admission control, adaptive
@@ -58,7 +58,6 @@
 #include "service/LandmarkCache.h"
 #include "service/SnapshotStore.h"
 #include "service/StatePool.h"
-#include "service/Store.h"
 #include "support/Cancellation.h"
 #include "support/LatencyHistogram.h"
 #include "support/ThreadSafety.h"
@@ -162,11 +161,6 @@ struct QueryResult {
   /// How the query ended; see QueryStatus. `DeadlineExceeded` still
   /// carries valid partial results (everything below `SettledBound`).
   QueryStatus Status = QueryStatus::Ok;
-  /// True when the query was rejected without running (out-of-range
-  /// source/target); every other field is then default-valued. A malformed
-  /// request must not take down a serving process. (Mirrors
-  /// `Status == QueryStatus::Failed`; kept for existing callers.)
-  bool Failed = false;
   /// True when admission control degraded this query (imposed a deadline
   /// derived from recent service times) because the engine was past the
   /// soft-water mark. The result may still be complete (`Ok`).
@@ -193,18 +187,15 @@ struct QueryResult {
 };
 
 /// Thread-pool query engine over one immutable graph snapshot — or, in
-/// *live mode*, over any model of the Store concept (service/Store.h;
-/// `SnapshotStore` and `ShardedSnapshotStore` both qualify): each query
-/// pins the latest published version for its lifetime, and
-/// `applyUpdates()` publishes the next version without blocking in-flight
-/// queries (they finish on the version they pinned). The graph / store
-/// (and any landmark cache) must outlive the engine.
-template <class StoreT>
-class BasicQueryEngine {
-  static_assert(is_store_v<StoreT>,
-                "BasicQueryEngine requires a type modeling the Store "
-                "concept (see service/Store.h)");
-
+/// *live mode*, over a `SnapshotStore`: each query pins the latest
+/// published version for its lifetime, and `applyUpdates()` publishes the
+/// next version without blocking in-flight queries (they finish on the
+/// version they pinned). A query with an out-of-range source/target never
+/// runs: it resolves as `QueryStatus::Failed` with every other result
+/// field default-valued — a malformed request must not take down a
+/// serving process. The graph / store (and any landmark cache) must
+/// outlive the engine.
+class QueryEngine {
 public:
   struct Options {
     Options() {} // usable as a `{}` default argument under GCC 12
@@ -238,11 +229,11 @@ public:
     /// cold source warms it. 0 disables the cache. Ignored when
     /// `SharedHotCache` is set.
     ///
-    /// The repair protocol tracks versions one publish at a time, so a
-    /// *background* compaction (whose rebuilt base publishes its own
-    /// version outside applyUpdates) invalidates the cache until the
-    /// sources are re-warmed — pair the hot cache with synchronous
-    /// compaction (the store default) for uninterrupted repair.
+    /// The repair protocol tracks versions one publish at a time, and
+    /// *any* shard fold — inline or background — publishes its own
+    /// version outside the batch's, so a fold drops every hot state until
+    /// the sources are re-warmed. Size the store's compaction trigger so
+    /// folds stay rare where uninterrupted repair matters.
     int HotSourceCapacity = 0;
     /// Live mode: serve hot states out of this *shared* cache instead of
     /// a private one, so several engines over the same store share warm
@@ -320,7 +311,7 @@ public:
     size_t ControllerMinSoftWater = 8;
   };
 
-  BasicQueryEngine(const Graph &G, Options Opts = {});
+  QueryEngine(const Graph &G, Options Opts = {});
 
   /// Live mode: queries run against `Store.current()`, pinned per query.
   /// With `Options::NumLandmarks > 0` the engine builds an ALT cache from
@@ -334,16 +325,16 @@ public:
   /// policy tracks batches applied through `applyUpdates` on this engine —
   /// route updates through the engine, not the store, when landmarks are
   /// enabled.
-  BasicQueryEngine(StoreT &Store, Options Opts = {});
+  QueryEngine(SnapshotStore &Store, Options Opts = {});
 
-  ~BasicQueryEngine();
+  ~QueryEngine();
 
-  BasicQueryEngine(const BasicQueryEngine &) = delete;
-  BasicQueryEngine &operator=(const BasicQueryEngine &) = delete;
+  QueryEngine(const QueryEngine &) = delete;
+  QueryEngine &operator=(const QueryEngine &) = delete;
 
   /// Enqueues \p Q; returns a ticket for collect(). Thread-safe. A query
   /// with an out-of-range source/target is not enqueued: its ticket
-  /// resolves immediately to a result with `Failed == true`.
+  /// resolves immediately to a result with `Status == QueryStatus::Failed`.
   uint64_t submit(Query Q);
 
   /// Blocks until the query behind \p Ticket finishes and returns its
@@ -369,7 +360,7 @@ public:
   /// hot-source cache (`Options::HotSourceCapacity`), every cached state
   /// is repaired to the new version before this returns — repeat-source
   /// queries pay O(affected) per version instead of a fresh run.
-  typename StoreT::ApplyResult
+  SnapshotStore::ApplyResult
   applyUpdates(const std::vector<EdgeUpdate> &Batch);
 
   /// Live mode only: grows the vertex universe through the store (see
@@ -382,17 +373,18 @@ public:
                        const Coordinates *TailCoords = nullptr);
 
   /// Live mode only: detaches \p External (deletes every incident edge
-  /// through the store — see Store::removeVertex) and recycles its id.
+  /// through the store — see SnapshotStore::removeVertex) and recycles
+  /// its id.
   /// Deletions only grow true distances, so the landmark cache stays
   /// admissible; hot states are repaired from the batch's applied
   /// transitions exactly like applyUpdates. The vertex stays in-universe
   /// (isolated), so in-flight and future queries naming it stay valid.
-  typename StoreT::ApplyResult removeVertex(VertexId External);
+  SnapshotStore::ApplyResult removeVertex(VertexId External);
 
   /// Live mode only: pops a freed id (zero-growth reuse) or grows the
   /// universe by one through addVertices — pooled states, hot states and
-  /// submit() validation all track the growth. See Store::acquireVertex
-  /// for the reused-coordinate caveat.
+  /// submit() validation all track the growth. See
+  /// SnapshotStore::acquireVertex for the reused-coordinate caveat.
   VertexId acquireVertex(const Coordinates *OneCoord = nullptr);
 
   /// Freed ids awaiting reuse in the underlying store (live mode; 0 in
@@ -533,11 +525,11 @@ private:
   /// (invalidate on insert/decrease, rebuild after compaction). Takes
   /// LandmarkMu only for the final flag and pointer swaps — the expensive
   /// cache rebuild runs with no lock that a query ever touches.
-  void noteAppliedBatch(const typename StoreT::ApplyResult &R,
+  void noteAppliedBatch(const SnapshotStore::ApplyResult &R,
                         bool WasAdmissible) REQUIRES(LandmarkWriterMu);
 
   const Graph *StaticG = nullptr;   ///< fixed-graph mode
-  StoreT *Store = nullptr;          ///< live mode
+  SnapshotStore *Store = nullptr;   ///< live mode
   /// Vertex universe for request validation; grows on addVertices (fixed
   /// graphs never grow). Atomic: submit() races engine-routed insertion.
   std::atomic<Count> NumNodes;
@@ -642,17 +634,8 @@ private:
   std::vector<std::thread> Workers;
 };
 
-/// The two stores every serving feature is built and tested against. The
-/// engine template is explicitly instantiated for exactly these in
-/// QueryEngine.cpp; a custom store needs its own explicit instantiation
-/// (or the definitions pulled into a header).
-extern template class BasicQueryEngine<SnapshotStore>;
-extern template class BasicQueryEngine<ShardedSnapshotStore>;
-
-/// The historical name: the engine over the single-writer store.
-using QueryEngine = BasicQueryEngine<SnapshotStore>;
-/// The engine over the sharded multi-writer store.
-using ShardedQueryEngine = BasicQueryEngine<ShardedSnapshotStore>;
+/// The engine's name at sites serving a multi-shard store: the same class.
+using ShardedQueryEngine = QueryEngine;
 
 } // namespace service
 } // namespace graphit

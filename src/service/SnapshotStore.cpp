@@ -9,8 +9,8 @@
 
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 using namespace graphit;
@@ -32,380 +32,6 @@ std::string describeRejected(const EdgeUpdate &U, size_t Index) {
 }
 
 } // namespace
-
-SnapshotStore::SnapshotStore(Graph Base, Options O) : Opts(O) {
-  // Reorder-on-load before the base CSR is frozen (no-op move for None).
-  Writer = DeltaGraph(std::make_shared<const Graph>(
-      reorderLoadedGraph(std::move(Base), Opts.Reorder, &Map,
-                         /*Seed=*/0x0EDE5, Opts.ReorderSourceHint)));
-  Current = std::make_shared<const DeltaGraph>(Writer);
-}
-
-SnapshotStore::~SnapshotStore() {
-  waitForCompaction();
-  if (Compactor.joinable())
-    Compactor.join();
-}
-
-SnapshotStore::Snapshot SnapshotStore::current() const {
-  MutexLock Lock(ReadMu);
-  return Current;
-}
-
-std::pair<SnapshotStore::Snapshot, uint64_t>
-SnapshotStore::currentVersioned() const {
-  MutexLock Lock(ReadMu);
-  return {Current, Version};
-}
-
-uint64_t SnapshotStore::version() const {
-  MutexLock Lock(ReadMu);
-  return Version;
-}
-
-uint64_t SnapshotStore::compactions() const {
-  MutexLock Lock(ReadMu);
-  return Compactions;
-}
-
-Count SnapshotStore::numNodes() const {
-  MutexLock Lock(ReadMu);
-  return Current->numNodes();
-}
-
-void SnapshotStore::publish() {
-  // Caller holds WriteMu (REQUIRES(WriteMu) on the declaration): Writer is
-  // stable, so copying it into an immutable snapshot and swapping the
-  // publish pointer is the entire read-side critical section.
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      GRAPHIT_FAIL_POINT("snapshot.publish");
-      auto Snap = std::make_shared<const DeltaGraph>(Writer);
-      MutexLock Lock(ReadMu);
-      Current = std::move(Snap);
-      ++Version;
-      return;
-    } catch (const std::exception &) {
-      if (Attempt >= kPublishRetryLimit)
-        throw;
-    }
-  }
-}
-
-void SnapshotStore::noteCompactionFailure(const std::string &Message) {
-  PendingError = Message; // WriteMu held by the caller
-  MutexLock Lock(ReadMu);
-  Degraded = true;
-  LastError = Message;
-}
-
-bool SnapshotStore::degraded() const {
-  MutexLock Lock(ReadMu);
-  return Degraded;
-}
-
-std::string SnapshotStore::lastError() const {
-  MutexLock Lock(ReadMu);
-  return LastError;
-}
-
-SnapshotStore::ApplyResult
-SnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
-  MutexLock WriterLock(WriteMu);
-  ApplyResult R;
-
-  // Surface a background-compaction failure exactly once, on the first
-  // writer call after it happened (the sticky form stays in lastError()).
-  if (!PendingError.empty()) {
-    R.CompactionError = std::move(PendingError);
-    PendingError.clear();
-  }
-
-  // Reordered stores translate the batch into internal (layout) ids; the
-  // snapshots, applied transitions, and any repaired distance states all
-  // live in that space. Out-of-range endpoints pass through untranslated —
-  // DeltaGraph::apply skips them like any other malformed write.
-  const std::vector<EdgeUpdate> *Apply = &Batch;
-  std::vector<EdgeUpdate> Translated;
-  if (!Map.isIdentity()) {
-    Translated = Batch;
-    const Count N = Map.size();
-    for (EdgeUpdate &U : Translated) {
-      if (static_cast<Count>(U.Src) < N)
-        U.Src = Map.toInternal(U.Src);
-      if (static_cast<Count>(U.Dst) < N)
-        U.Dst = Map.toInternal(U.Dst);
-    }
-    Apply = &Translated;
-  }
-
-  // Strict mode: a poisoned batch is all-or-nothing. Validation runs
-  // before any mutation, so a rejection leaves the writer untouched and
-  // publishes no version — the caller gets a typed error plus the
-  // unchanged current snapshot.
-  if (Opts.StrictBatches) {
-    const Count N = Writer.numNodes();
-    for (size_t I = 0; I < Apply->size(); ++I) {
-      if (!DeltaGraph::validUpdate((*Apply)[I], N)) {
-        R.Status = ApplyStatus::RejectedBatch;
-        R.Error = describeRejected((*Apply)[I], I);
-        MutexLock Lock(ReadMu);
-        R.Version = Version;
-        R.Snap = Current;
-        return R;
-      }
-    }
-  }
-
-  R.Applied = coalesceApplied(Writer.apply(*Apply));
-
-  if (CompactionRunning)
-    Replay.push_back(ReplayOp{*Apply, 0, nullptr});
-
-  // Compaction bookkeeping before publishing, so a synchronous compaction
-  // is part of the same published version.
-  const Count Overlay = Writer.overlayEdges();
-  const bool OverThreshold =
-      Overlay >= Opts.MinOverlayEdges &&
-      static_cast<double>(Overlay) >
-          Opts.CompactionThreshold *
-              static_cast<double>(Writer.base().numEdges());
-  if (OverThreshold && !CompactionRunning) {
-    R.CompactionTriggered = true;
-    if (!Opts.BackgroundCompaction) {
-      try {
-        GRAPHIT_FAIL_POINT("compaction.rebuild");
-        Writer = DeltaGraph(std::make_shared<const Graph>(Writer.compact()));
-        MutexLock Lock(ReadMu);
-        ++Compactions;
-        Degraded = false;
-        LastError.clear();
-      } catch (const std::exception &E) {
-        // Failed fold: the un-compacted overlay keeps serving and the
-        // next threshold trip retries. Surfaced on this very result (the
-        // pending slot is cleared so it is not reported twice).
-        noteCompactionFailure(std::string("compaction failed: ") + E.what());
-        R.CompactionError = std::move(PendingError);
-        PendingError.clear();
-      }
-    } else {
-      if (Compactor.joinable())
-        Compactor.join(); // previous compactor already finished
-      CompactionRunning = true;
-      Replay.clear();
-      // Pin the writer's exact content for the compactor; readers are
-      // unaffected (they pin published versions).
-      Snapshot Pinned = std::make_shared<const DeltaGraph>(Writer);
-      Compactor = std::thread([this, Pinned = std::move(Pinned)]() mutable {
-        compactorBody(std::move(Pinned));
-      });
-    }
-  }
-
-  publish();
-  {
-    MutexLock Lock(ReadMu);
-    R.Version = Version;
-    R.Snap = Current;
-  }
-  return R;
-}
-
-void SnapshotStore::compactorBody(Snapshot Pinned) {
-  // Nothing may escape this thread (an uncaught exception would
-  // std::terminate the process): every fallible step runs under a catch,
-  // and any terminal failure downgrades to "keep serving the
-  // pre-compaction state, surface the error on the next writer call".
-  using SteadyClock = std::chrono::steady_clock;
-  const bool HasWatchdog = Opts.CompactionWatchdogMillis > 0;
-  const SteadyClock::time_point Watchdog =
-      SteadyClock::now() +
-      std::chrono::milliseconds(HasWatchdog ? Opts.CompactionWatchdogMillis
-                                            : 0);
-  auto watchdogExpired = [&] {
-    return HasWatchdog && SteadyClock::now() >= Watchdog;
-  };
-
-  // Phase 1: the expensive O(V + E) rebuild, with no lock held. Bounded
-  // retries with exponential backoff absorb transient faults (allocation
-  // failure, injected fail points); the watchdog caps the total budget so
-  // a repeatedly failing fold can never wedge writers or shutdown.
-  std::string Err;
-  std::shared_ptr<const Graph> NewBase;
-  int64_t BackoffMillis = std::max<int64_t>(Opts.CompactionBackoffMillis, 1);
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      GRAPHIT_FAIL_POINT("compaction.rebuild");
-      NewBase = std::make_shared<const Graph>(Pinned->compact());
-      break;
-    } catch (const std::exception &E) {
-      Err = E.what();
-    } catch (...) {
-      Err = "unknown compaction error";
-    }
-    if (Attempt >= Opts.CompactionRetryLimit || watchdogExpired())
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMillis));
-    BackoffMillis *= 2;
-  }
-  Pinned.reset();
-
-  MutexLock WriterLock(WriteMu);
-  // Phase 2: replay the writer-side operations accepted while we were
-  // compacting onto the new base. Upsert/delete/growth semantics are
-  // deterministic, so the result equals the writer's current adjacency
-  // with an (almost) empty overlay. Universe growth replays too —
-  // otherwise a later batch referencing the new ids would be
-  // range-rejected. Each retry restarts from a fresh overlay over the
-  // rebuilt base, so a half-replayed attempt can never leak; no backoff
-  // here — WriteMu is held and sleeping would block writers.
-  bool Ok = false;
-  if (NewBase) {
-    for (int Attempt = 0; !Ok; ++Attempt) {
-      try {
-        DeltaGraph Rebuilt(NewBase);
-        for (const ReplayOp &Op : Replay) {
-          GRAPHIT_FAIL_POINT("compaction.replay");
-          if (Op.GrowTo > 0)
-            Rebuilt.growUniverse(Op.GrowTo, Op.TailCoords.get());
-          else
-            Rebuilt.apply(Op.Batch);
-        }
-        Writer = std::move(Rebuilt);
-        Ok = true;
-      } catch (const std::exception &E) {
-        Err = E.what();
-      } catch (...) {
-        Err = "unknown compaction error";
-      }
-      if (!Ok && (Attempt >= Opts.CompactionRetryLimit || watchdogExpired()))
-        break;
-    }
-  }
-
-  Replay.clear();
-  CompactionRunning = false;
-  if (Ok) {
-    {
-      MutexLock Lock(ReadMu);
-      ++Compactions;
-      Degraded = false;
-      LastError.clear();
-    }
-    try {
-      publish();
-    } catch (...) {
-      // Publication failed terminally: the compacted writer state is
-      // intact and the next writer call publishes it — readers just keep
-      // the previous version a little longer.
-    }
-  } else {
-    // Fallback: the pre-compaction writer (already holding every replayed
-    // batch) stays authoritative and published — serving never stalls on
-    // the wedged fold. The failure is surfaced on the next writer call.
-    noteCompactionFailure("background compaction failed: " + Err);
-  }
-  CompactionCv.notify_all();
-}
-
-void SnapshotStore::waitForCompaction() {
-  // Explicit wait loop (not the predicate-lambda overload): the analysis
-  // is intra-procedural, so the guarded CompactionRunning read stays in a
-  // scope where WriteMu is visibly held.
-  MutexLock WriterLock(WriteMu);
-  while (CompactionRunning)
-    CompactionCv.wait(WriterLock.native());
-}
-
-bool SnapshotStore::waitForCompactionFor(int64_t TimeoutMillis) {
-  MutexLock WriterLock(WriteMu);
-  const auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(TimeoutMillis);
-  while (CompactionRunning) {
-    if (CompactionCv.wait_until(WriterLock.native(), Deadline) ==
-        std::cv_status::timeout)
-      return !CompactionRunning;
-  }
-  return true;
-}
-
-VertexId SnapshotStore::addVertices(Count HowMany,
-                                    const Coordinates *TailCoords) {
-  MutexLock WriterLock(WriteMu);
-  VertexId First = static_cast<VertexId>(Writer.numNodes());
-  if (HowMany <= 0)
-    return First; // nothing to grow; no version published
-  const Count GrowTo = Writer.numNodes() + HowMany;
-  Writer.growUniverse(GrowTo, TailCoords);
-  if (CompactionRunning)
-    Replay.push_back(ReplayOp{
-        {},
-        GrowTo,
-        TailCoords ? std::make_shared<Coordinates>(*TailCoords) : nullptr});
-  publish();
-  return First;
-}
-
-SnapshotStore::ApplyResult SnapshotStore::removeVertex(VertexId External) {
-  MutexLock WriterLock(WriteMu);
-  ApplyResult R;
-  if (!PendingError.empty()) {
-    R.CompactionError = std::move(PendingError);
-    PendingError.clear();
-  }
-  VertexId V = External;
-  if (!Map.isIdentity() && static_cast<Count>(V) < Map.size())
-    V = Map.toInternal(V);
-  if (static_cast<Count>(V) >= Writer.numNodes()) {
-    MutexLock Lock(ReadMu);
-    R.Version = Version;
-    R.Snap = Current; // out-of-range id: no-op, nothing published
-    return R;
-  }
-
-  // Materialize the incident edges first (the neighbor ranges point into
-  // the rows being deleted), then push them through the normal batch path
-  // so the Applied transitions, replay recording, and publish are exactly
-  // what the equivalent delete batch would produce. Symmetric graphs
-  // detach both directions from the out-row alone; directed graphs with
-  // incoming adjacency also delete the in-edges. The id stays in the
-  // universe as an isolated vertex.
-  std::vector<EdgeUpdate> Deletes;
-  for (WNode E : Writer.outNeighbors(V))
-    Deletes.push_back(EdgeUpdate{V, E.V, 0, UpdateKind::Delete});
-  if (!Writer.isSymmetric() && Writer.hasInEdges())
-    for (WNode E : Writer.inNeighbors(V))
-      Deletes.push_back(EdgeUpdate{E.V, V, 0, UpdateKind::Delete});
-
-  R.Applied = coalesceApplied(Writer.apply(Deletes));
-  if (CompactionRunning)
-    Replay.push_back(ReplayOp{std::move(Deletes), 0, nullptr});
-  publish();
-  MutexLock Lock(ReadMu);
-  R.Version = Version;
-  R.Snap = Current;
-  Map.recordFreed(External);
-  return R;
-}
-
-VertexId SnapshotStore::acquireVertex(const Coordinates *OneCoord) {
-  {
-    MutexLock Lock(ReadMu);
-    VertexId Freed = 0;
-    if (Map.takeFreed(Freed))
-      return Freed; // already an isolated in-universe vertex; no publish
-  }
-  return addVertices(1, OneCoord);
-}
-
-Count SnapshotStore::freeVertexCount() const {
-  MutexLock Lock(ReadMu);
-  return Map.freeCount();
-}
-
-//===----------------------------------------------------------------------===//
-// ShardedSnapshotStore
-//===----------------------------------------------------------------------===//
 
 ShardedSnapshotStore::ShardedSnapshotStore(Graph Base, Options O)
     : Opts(O) {
@@ -451,6 +77,21 @@ void ShardedSnapshotStore::waitForCompaction() {
     while (ShPtr->Compacting)
       ShPtr->FoldCv.wait(Lock.native());
   }
+}
+
+bool ShardedSnapshotStore::waitForCompactionFor(int64_t TimeoutMillis) {
+  const auto Deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(TimeoutMillis);
+  for (auto &ShPtr : Shards) {
+    MutexLock Lock(ShPtr->Mu);
+    while (ShPtr->Compacting) {
+      if (ShPtr->FoldCv.wait_until(Lock.native(), Deadline) ==
+              std::cv_status::timeout &&
+          ShPtr->Compacting)
+        return false;
+    }
+  }
+  return true;
 }
 
 uint64_t ShardedSnapshotStore::shardFolds(int S) const {
@@ -509,6 +150,13 @@ ShardedSnapshotStore::shardMutexes(const std::vector<int> &ShardIds) {
   return Mus;
 }
 
+std::vector<int> ShardedSnapshotStore::allShards() const {
+  std::vector<int> All(Shards.size());
+  for (size_t I = 0; I < Shards.size(); ++I)
+    All[I] = static_cast<int>(I);
+  return All;
+}
+
 int ShardedSnapshotStore::shardOf(VertexId V) const {
   Count S = static_cast<Count>(V) >> Shift;
   return static_cast<int>(
@@ -527,20 +175,14 @@ std::string ShardedSnapshotStore::lastError() const {
 
 ShardedSnapshotStore::ApplyResult
 ShardedSnapshotStore::publishLocked(const std::vector<int> &Touched,
-                                    std::vector<AppliedUpdate> Applied,
-                                    bool CompactionTriggered) {
+                                    std::vector<AppliedUpdate> Applied) {
   // Caller holds the writer mutex of every shard in Touched, so copying
   // those writers into immutable snapshots here is race-free; untouched
   // shards keep the pointers of the previous composite (read under ReadMu,
   // which also makes the version vector update atomic with the swap).
   ApplyResult R;
   R.Applied = std::move(Applied);
-  R.CompactionTriggered = CompactionTriggered;
   MutexLock Lock(ReadMu);
-  if (!PendingError.empty()) {
-    R.CompactionError = std::move(PendingError);
-    PendingError.clear();
-  }
   // Publication is all-or-nothing: every fallible step (the snapshot
   // copies and the composite view — plus the snapshot.publish fail point)
   // runs before any version state mutates, with bounded retries, so a
@@ -570,19 +212,16 @@ ShardedSnapshotStore::publishLocked(const std::vector<int> &Touched,
   Cur = std::move(View);
   R.Version = Version;
   R.Snap = Cur;
-  // Only the caller that flips the pending flag runs the compaction; a
-  // trigger firing while one is pending has already been absorbed.
-  R.CompactionTriggered = CompactionTriggered && !CompactionPending;
-  if (R.CompactionTriggered)
-    CompactionPending = true;
   return R;
 }
 
 ShardedSnapshotStore::ApplyResult
 ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
-  // Reordered stores translate into internal ids, exactly like the
-  // unsharded store (out-of-range endpoints pass through untranslated and
-  // are skipped by the validity test below).
+  // Reordered stores translate the batch into internal (layout) ids; the
+  // snapshots, applied transitions, and any repaired distance states all
+  // live in that space. Out-of-range endpoints pass through untranslated
+  // and are skipped by the validity test below, like any other malformed
+  // write.
   const std::vector<EdgeUpdate> *Apply = &Batch;
   std::vector<EdgeUpdate> Translated;
   if (!Map.isIdentity()) {
@@ -620,8 +259,8 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
 
   // Strict mode: validate the whole batch against the pinned universe
   // size before mutating any shard, so a poisoned batch rejects
-  // atomically — bit-compatible with the unsharded store (same batches
-  // rejected, no version published).
+  // atomically — the writers stay untouched, no version is published, and
+  // the caller gets a typed error plus the unchanged current snapshot.
   if (Opts.StrictBatches && !Touched.empty()) {
     const Count N =
         Shards[static_cast<size_t>(Touched.front())]->Writer.numNodes();
@@ -636,7 +275,6 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
           R.Snap = Cur;
         }
         return R; // ShardLocks releases on scope exit
-
       }
     }
   }
@@ -647,7 +285,6 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   // writes) is neither re-snapshotted nor bumped.
   std::vector<int> Dirty;
   std::vector<AppliedUpdate> Applied;
-  bool LegacyTrigger = false;
   std::vector<int> TriggeredShards;
   if (!Touched.empty()) {
     const Count N =
@@ -661,9 +298,8 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
     std::sort(Dirty.begin(), Dirty.end());
     Dirty.erase(std::unique(Dirty.begin(), Dirty.end()), Dirty.end());
     // Per-shard compaction triggers, measured against the shard's slice
-    // of the shared base. In incremental mode each tripped shard is
-    // absorbed into at most one queued fold (FoldScheduled); the legacy
-    // mode keeps the one-global-fold absorption in publishLocked.
+    // of the shared base. Each tripped shard is absorbed into at most one
+    // queued fold (FoldScheduled).
     const Count BaseSlice =
         Shards[static_cast<size_t>(Touched.front())]->Writer.base().numEdges() /
         static_cast<Count>(Shards.size());
@@ -672,40 +308,40 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
       const Count Overlay = Sh.Writer.overlayEdges();
       if (Overlay >= Opts.MinOverlayEdges &&
           static_cast<double>(Overlay) >
-              Opts.CompactionThreshold * static_cast<double>(BaseSlice)) {
-        if (Opts.LegacyGlobalRebuild) {
-          LegacyTrigger = true;
-        } else if (!Sh.FoldScheduled && !Sh.Compacting) {
-          Sh.FoldScheduled = true;
-          TriggeredShards.push_back(S);
-        }
+              Opts.CompactionThreshold * static_cast<double>(BaseSlice) &&
+          !Sh.FoldScheduled && !Sh.Compacting) {
+        Sh.FoldScheduled = true;
+        TriggeredShards.push_back(S);
       }
     }
   }
 
-  ApplyResult R =
-      publishLocked(Dirty, coalesceApplied(Applied), LegacyTrigger);
+  ApplyResult R = publishLocked(Dirty, coalesceApplied(Applied));
 
   ShardLocks.release();
 
-  if (Opts.LegacyGlobalRebuild) {
-    if (R.CompactionTriggered)
-      compactAllGlobal();
-  } else {
-    // Incremental per-shard folds, each under exactly one shard lock.
-    // Synchronous folds publish their own (later) version; background
-    // folds publish when the fold thread finishes — either way this
-    // batch's snapshot is the pre-fold one, as with the unsharded
-    // store's background compaction.
-    for (int S : TriggeredShards) {
-      if (Opts.BackgroundCompaction)
-        foldShardAsync(S);
-      else
-        compactShard(S);
-    }
-    R.CompactionTriggered = !TriggeredShards.empty();
+  // Incremental per-shard folds, each under exactly one shard lock.
+  // Synchronous folds publish their own (later) version; background folds
+  // publish when the fold thread finishes — either way this batch's
+  // snapshot is the pre-fold one.
+  for (int S : TriggeredShards) {
+    if (Opts.BackgroundCompaction)
+      foldShardAsync(S);
+    else
+      compactShard(S);
   }
+  R.CompactionTriggered = !TriggeredShards.empty();
+  // After the inline folds, so a fold this batch triggered reports its
+  // failure on this very result.
+  R.CompactionError = takePendingError();
   return R;
+}
+
+std::string ShardedSnapshotStore::takePendingError() {
+  MutexLock Lock(ReadMu);
+  std::string Error = std::move(PendingError);
+  PendingError.clear();
+  return Error;
 }
 
 void ShardedSnapshotStore::applyRowLocked(const EdgeUpdate &U,
@@ -752,9 +388,7 @@ VertexId ShardedSnapshotStore::addVertices(Count HowMany,
   // on the node count (range checks, coordinate extents), so insertion
   // takes every shard lock. It is the rare, heavyweight operation of the
   // write path — edge batches on disjoint shards stay concurrent.
-  std::vector<int> All(Shards.size());
-  for (size_t I = 0; I < Shards.size(); ++I)
-    All[I] = static_cast<int>(I);
+  const std::vector<int> All = allShards();
   DynamicLockSet ShardLocks(shardMutexes(All), "shard.lock");
   VertexId First = static_cast<VertexId>(Shards.front()->Writer.numNodes());
   if (HowMany > 0) {
@@ -769,7 +403,7 @@ VertexId ShardedSnapshotStore::addVertices(Count HowMany,
         S->Replay.push_back(
             ShardOp{ShardOp::Kind::Grow, EdgeUpdate{}, GrowTo, Tail});
     }
-    publishLocked(All, {}, false);
+    publishLocked(All, {});
   }
   return First;
 }
@@ -840,7 +474,7 @@ void ShardedSnapshotStore::compactShard(int S) {
   }
   noteShardFoldOk(Sh);
   try {
-    publishLocked({S}, {}, false);
+    publishLocked({S}, {});
   } catch (...) {
     // Terminal publish failure: the folded writer is intact; the next
     // publish touching this shard carries it — readers just keep the
@@ -883,11 +517,25 @@ void ShardedSnapshotStore::foldShardBody(
   // recorded meanwhile, and atomically swaps the result in. A terminal
   // failure degrades this shard only — every other shard keeps serving
   // and folding.
+  using SteadyClock = std::chrono::steady_clock;
+  const bool HasWatchdog = Opts.CompactionWatchdogMillis > 0;
+  const SteadyClock::time_point Watchdog =
+      SteadyClock::now() +
+      std::chrono::milliseconds(HasWatchdog ? Opts.CompactionWatchdogMillis
+                                            : 0);
+  auto watchdogExpired = [&] {
+    return HasWatchdog && SteadyClock::now() >= Watchdog;
+  };
   Shard &Sh = *Shards[static_cast<size_t>(S)];
   const std::pair<Count, Count> Range = shardRangeFor(S, Pinned->numNodes());
 
+  // Bounded retries with exponential backoff absorb transient faults
+  // (allocation failure, injected fail points); the watchdog caps the
+  // total budget so a repeatedly failing fold can never wedge writers or
+  // shutdown.
   std::string Err;
   std::shared_ptr<const BaseSegment> Seg;
+  int64_t BackoffMillis = std::max<int64_t>(Opts.CompactionBackoffMillis, 1);
   for (int Attempt = 0;; ++Attempt) {
     try {
       GRAPHIT_FAIL_POINT("compaction.rebuild");
@@ -898,8 +546,10 @@ void ShardedSnapshotStore::foldShardBody(
     } catch (...) {
       Err = "unknown compaction error";
     }
-    if (Attempt >= Opts.CompactionRetryLimit)
+    if (Attempt >= Opts.CompactionRetryLimit || watchdogExpired())
       break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMillis));
+    BackoffMillis *= 2;
   }
 
   MutexLock Lock(Sh.Mu);
@@ -907,7 +557,8 @@ void ShardedSnapshotStore::foldShardBody(
   if (Seg) {
     // Copy-adopt-replay-swap: each retry restarts from a fresh copy of
     // the pinned state, so a half-replayed attempt can never leak into
-    // the serving writer.
+    // the serving writer. No backoff here — the shard lock is held and
+    // sleeping would block its writers.
     for (int Attempt = 0; !Ok; ++Attempt) {
       try {
         DeltaGraph Folded(*Pinned);
@@ -933,7 +584,7 @@ void ShardedSnapshotStore::foldShardBody(
       } catch (...) {
         Err = "unknown compaction error";
       }
-      if (!Ok && Attempt >= Opts.CompactionRetryLimit)
+      if (!Ok && (Attempt >= Opts.CompactionRetryLimit || watchdogExpired()))
         break;
     }
   }
@@ -944,7 +595,7 @@ void ShardedSnapshotStore::foldShardBody(
   if (Ok) {
     noteShardFoldOk(Sh);
     try {
-      publishLocked({S}, {}, false);
+      publishLocked({S}, {});
     } catch (...) {
       // As in compactShard: the folded writer is intact either way.
     }
@@ -952,61 +603,6 @@ void ShardedSnapshotStore::foldShardBody(
     noteShardFoldFailure(Sh, S, Err);
   }
   Sh.FoldCv.notify_all();
-}
-
-void ShardedSnapshotStore::compactAll() {
-  // Deprecated as a global fold: a tripped trigger now folds only its own
-  // shard, and this entry point just walks the incremental path shard by
-  // shard — never holding more than one shard lock at a time.
-  for (int S = 0; S < numShards(); ++S)
-    compactShard(S);
-}
-
-void ShardedSnapshotStore::compactAllGlobal() {
-  // Legacy store-wide rebuild (Options::LegacyGlobalRebuild): one global
-  // compaction at a time; a trigger that fires while another compaction
-  // is pending was already absorbed by the CompactionPending flag in
-  // publishLocked.
-  MutexLock CompactGuard(CompactMu);
-  std::vector<int> All(Shards.size());
-  for (size_t I = 0; I < Shards.size(); ++I)
-    All[I] = static_cast<int>(I);
-  DynamicLockSet ShardLocks(shardMutexes(All), "shard.lock");
-
-  // Fold every shard's overlay into a fresh shared base. The expensive
-  // O(V + E) rebuild runs under the shard locks — the sharded store
-  // trades the unsharded store's background-compaction machinery for
-  // per-shard write concurrency the rest of the time. A failed fold
-  // (transient allocation fault, injected fail point) downgrades to
-  // "keep serving the overlays": the writers are only replaced after the
-  // rebuild fully succeeded, the next trigger retries, and the error is
-  // surfaced on the next apply.
-  try {
-    GRAPHIT_FAIL_POINT("compaction.rebuild");
-    std::vector<std::shared_ptr<const DeltaGraph>> Raw;
-    Raw.reserve(Shards.size());
-    for (auto &S : Shards)
-      Raw.push_back(std::make_shared<const DeltaGraph>(S->Writer));
-    ShardedDeltaView Whole(std::move(Raw), Shift);
-    auto NewBase = std::make_shared<const Graph>(Whole.compact());
-    for (auto &S : Shards)
-      S->Writer = DeltaGraph(NewBase);
-
-    {
-      MutexLock Lock(ReadMu);
-      ++Compactions;
-      CompactionPending = false;
-      Degraded = false;
-      LastError.clear();
-    }
-    publishLocked(All, {}, false);
-  } catch (const std::exception &E) {
-    MutexLock Lock(ReadMu);
-    CompactionPending = false; // a later trigger may retry
-    Degraded = true;
-    LastError = std::string("compaction failed: ") + E.what();
-    PendingError = LastError;
-  }
 }
 
 ShardedSnapshotStore::ApplyResult
@@ -1018,10 +614,7 @@ ShardedSnapshotStore::removeVertex(VertexId External) {
   // Detaching reaches into the shard of every neighbor, so removal takes
   // all shard locks — the rare heavyweight write, like addVertices. (The
   // one-shard-lock guarantee is about compaction, which never detaches.)
-  std::vector<int> All(Shards.size());
-  for (size_t I = 0; I < Shards.size(); ++I)
-    All[I] = static_cast<int>(I);
-  DynamicLockSet ShardLocks(shardMutexes(All), "shard.lock");
+  DynamicLockSet ShardLocks(shardMutexes(allShards()), "shard.lock");
 
   const Count N = Shards.front()->Writer.numNodes();
   if (static_cast<Count>(V) >= N) {
@@ -1049,8 +642,9 @@ ShardedSnapshotStore::removeVertex(VertexId External) {
   std::sort(Dirty.begin(), Dirty.end());
   Dirty.erase(std::unique(Dirty.begin(), Dirty.end()), Dirty.end());
 
-  ApplyResult R = publishLocked(Dirty, coalesceApplied(Applied), false);
+  ApplyResult R = publishLocked(Dirty, coalesceApplied(Applied));
   ShardLocks.release();
+  R.CompactionError = takePendingError();
   MutexLock Lock(ReadMu);
   Map.recordFreed(External);
   return R;

@@ -11,20 +11,29 @@
 /// updates and publish new ones — queries never block on writes and writes
 /// never block on queries.
 ///
-///  * A *snapshot* is a `shared_ptr<const DeltaGraph>` (base CSR + patch
-///    overlay, graph/DeltaGraph.h). Pinning is one refcount; a query holds
-///    its snapshot for its lifetime and is immune to later publishes.
-///  * `applyUpdates` mutates the writer's private overlay, coalesces the
-///    per-edge transitions (old → new weight across the whole batch, the
-///    form incremental repair consumes), and publishes a copy as the next
-///    version. Writers are serialized; readers only ever touch published
+///  * A *snapshot* is a `shared_ptr<const ShardedDeltaView>`: one
+///    `DeltaGraph` overlay (base CSR + patch lists, graph/DeltaGraph.h) per
+///    vertex-range shard, plus the version vector it was published with.
+///    Pinning is one refcount; a query holds its snapshot for its lifetime
+///    and is immune to later publishes.
+///  * `applyUpdates` mutates the writers of the shards the batch touches,
+///    coalesces the per-edge transitions (old → new weight across the
+///    whole batch, the form incremental repair consumes), and publishes
+///    copies of those shards as the next version. Writers on disjoint
+///    shard sets run concurrently; readers only ever touch published
 ///    copies.
-///  * Once the overlay exceeds `CompactionThreshold × base edges`, it is
-///    compacted into a fresh base CSR — synchronously by default, or on a
-///    background thread (`Options::BackgroundCompaction`) that rebuilds
-///    from a pinned snapshot while the writer keeps accepting batches;
-///    the intervening batches are replayed onto the new base before it is
-///    published. Old versions stay alive until their last reader unpins.
+///  * Once a shard's overlay exceeds `CompactionThreshold` × its slice of
+///    the base edges, that shard folds its range into a fresh base segment
+///    — inline after the triggering batch by default, or on a background
+///    thread (`Options::BackgroundCompaction`) that folds a pinned copy
+///    while the writers keep accepting batches; the intervening row ops
+///    are replayed onto the folded copy before it is published. Old
+///    versions stay alive until their last reader unpins.
+///
+/// One store serves both deployments: with the default `NumShards = 1`
+/// it is the single-writer store (one writer lock, one overlay, a fold
+/// covering the whole graph); with N shards, writers scale out.
+/// `SnapshotStore` and `ShardedSnapshotStore` name the same class.
 ///
 /// The vertex universe *grows*: `addVertices` appends fresh ids at the
 /// tail (DeltaGraph's appendable tail region) and publishes the grown
@@ -32,19 +41,9 @@
 /// (`DistanceState::resize`). Under a reordered layout, tail ids map to
 /// themselves in both id spaces (VertexMapping's identity tail).
 ///
-/// `ShardedSnapshotStore` (below) is the scale-out variant: the update
-/// stream is partitioned by vertex-range shard, each shard with its own
-/// writer mutex, patch overlay, and compaction trigger, so writers on
-/// distinct shards only contend on the final (cheap) composite publish —
-/// and compaction is per-shard and *incremental* (DeltaGraph segments),
-/// so a fold costs O(shard) under one shard lock, not O(V + E) under all.
-/// Readers pin one `ShardedDeltaView` — a consistent cross-shard version
-/// vector — and run the templated engines directly over it.
-///
-/// Operator documentation (compaction failure semantics, option tables
-/// for both stores) lives in docs/serving.md; the tables are kept in
-/// sync with this header by scripts/check_docs.py (the `docs_check`
-/// ctest entry).
+/// Operator documentation (compaction failure semantics, the option
+/// table) lives in docs/serving.md; the table is kept in sync with this
+/// header by scripts/check_docs.py (the `docs_check` ctest entry).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +65,7 @@
 namespace graphit {
 namespace service {
 
-/// Batch-level outcome of an applyUpdates call (both stores).
+/// Batch-level outcome of an applyUpdates call.
 enum class ApplyStatus : uint8_t {
   Ok,
   /// Strict mode only: the batch contained a malformed update, nothing
@@ -75,21 +74,52 @@ enum class ApplyStatus : uint8_t {
   RejectedBatch,
 };
 
-/// Versioned publisher of `DeltaGraph` snapshots over one base graph.
-class SnapshotStore {
+/// The snapshot store: the vertex universe is partitioned into contiguous
+/// ranges (one per shard; see ShardedDeltaView::shiftFor), and each shard
+/// owns a private `DeltaGraph` overlay over the shared base CSR plus its
+/// own writer mutex and compaction counter. A batch locks only the shards
+/// its endpoints touch — the directed edge (u, v) patches shard(u)'s
+/// out-adjacency and shard(v)'s in-adjacency (on symmetric graphs, the
+/// reverse edge is shard(v)'s own out-edge) — so writers on disjoint shard
+/// sets apply concurrently and only serialize on the final composite
+/// pointer swap.
+///
+/// Readers pin a `ShardedDeltaView` snapshot carrying the cross-shard
+/// version vector: per-shard versions bump exactly when that shard's
+/// overlay changed, the global version on every publish, and a pinned
+/// composite is immutable — so two pins can be compared component-wise
+/// (monotone, never torn; the concurrency stress test asserts this).
+///
+/// Compaction is *per shard and incremental*: a shard that trips its
+/// trigger folds its own vertex range — patches included — into a fresh
+/// `BaseSegment` (DeltaGraph::compactRange) while every other shard keeps
+/// serving its existing rows. The fold costs O(shard), holds exactly one
+/// shard writer lock (never more — asserted by the fault-isolation stress
+/// schedule), and publishes its own version. It can run on a background
+/// thread per shard (`Options::BackgroundCompaction`): the fold works off
+/// a pinned copy, batches accepted meanwhile are recorded in a shard-local
+/// replay log and re-applied onto the folded copy before it atomically
+/// replaces the writer. A failed fold degrades only that shard; the
+/// others keep folding.
+class ShardedSnapshotStore {
 public:
   /// A pinned, immutable graph version. Holding it keeps the version (and
-  /// its base CSR) alive regardless of later publishes or compactions.
-  using Snapshot = std::shared_ptr<const DeltaGraph>;
+  /// its base CSR and segments) alive regardless of later publishes or
+  /// folds.
+  using Snapshot = std::shared_ptr<const ShardedDeltaView>;
 
   struct Options {
     Options() {} // usable as a `{}` default argument under GCC 12
-    /// Compact once overlayEdges() exceeds this fraction of the base
-    /// graph's edges ...
+    /// Vertex-range shards (writer concurrency). Clamped to >= 1; one
+    /// shard is the single-writer store.
+    int NumShards = 1;
+    /// Fold a shard once its overlayEdges() exceeds this fraction of its
+    /// slice of the base edges ...
     double CompactionThreshold = 0.10;
     /// ... and at least this many edges (tiny graphs aren't worth it).
     Count MinOverlayEdges = 1 << 12;
-    /// Compact on a background thread instead of inside applyUpdates.
+    /// Fold a tripped shard on its own background thread (pin + replay)
+    /// instead of inline after the triggering apply.
     bool BackgroundCompaction = false;
     /// Cache-conscious layout: permute the base graph on construction
     /// (graph/Reorder.h) and serve the permuted CSR internally. Callers
@@ -103,31 +133,31 @@ public:
     /// update with a typed error (`ApplyStatus::RejectedBatch`) instead
     /// of skipping the bad records and applying the rest.
     bool StrictBatches = false;
-    /// Bounded retries for a failed compaction rebuild or replay
-    /// (transient faults — allocation failure, injected fail points).
+    /// Bounded retries for a failed shard fold or replay (transient
+    /// faults — allocation failure, injected fail points).
     int CompactionRetryLimit = 3;
-    /// Backoff before the first background-rebuild retry, doubling per
+    /// Backoff before the first background fold retry, doubling per
     /// retry.
     int64_t CompactionBackoffMillis = 10;
-    /// Watchdog: total wall-clock budget for one background compaction,
+    /// Watchdog: total wall-clock budget for one background shard fold,
     /// retries and backoff included; 0 disables. On expiry the fold is
-    /// abandoned and the pre-compaction state keeps serving (degraded,
+    /// abandoned and the shard's pre-fold state keeps serving (degraded,
     /// error surfaced on the next writer call) — a wedged fold can never
     /// stall serving or shutdown indefinitely.
     int64_t CompactionWatchdogMillis = 0;
   };
 
   struct ApplyResult {
-    /// Batch-level outcome; everything below `Applied` is meaningful only
+    /// Batch-level outcome; everything below `Error` is meaningful only
     /// for Ok.
     ApplyStatus Status = ApplyStatus::Ok;
     /// Human-readable description of the rejected record (strict mode).
     std::string Error;
-    /// Non-empty when a compaction failure is being surfaced: either the
-    /// failure of this call's synchronous compaction, or — exactly once —
-    /// a background-compaction failure that happened since the previous
-    /// writer call. The store keeps serving its un-compacted overlay
-    /// either way (see degraded()).
+    /// Non-empty when a fold failure is being surfaced — exactly once, on
+    /// the first applyUpdates/removeVertex result after it: an inline
+    /// fold's failure on the result of the batch that triggered it, a
+    /// background fold's on the next writer call. The store keeps serving
+    /// the shard's un-folded overlay either way (see degraded()).
     std::string CompactionError;
     /// Version published for this batch.
     uint64_t Version = 0;
@@ -138,18 +168,18 @@ public:
     /// space the snapshots and any pooled distance states live in;
     /// translate through `mapping()` for display.
     std::vector<AppliedUpdate> Applied;
-    /// The published snapshot, pre-pinned for the caller.
+    /// The published snapshot, pre-pinned for the caller. Always the
+    /// batch's own version: a fold it triggers publishes a later one.
     Snapshot Snap;
-    /// True if this batch tripped the compaction threshold (with
-    /// background compaction the rebuilt base publishes later).
+    /// True if this batch tripped at least one shard's fold trigger.
     bool CompactionTriggered = false;
   };
 
-  explicit SnapshotStore(Graph Base, Options Opts = {});
-  ~SnapshotStore();
+  explicit ShardedSnapshotStore(Graph Base, Options Opts = {});
+  ~ShardedSnapshotStore();
 
-  SnapshotStore(const SnapshotStore &) = delete;
-  SnapshotStore &operator=(const SnapshotStore &) = delete;
+  ShardedSnapshotStore(const ShardedSnapshotStore &) = delete;
+  ShardedSnapshotStore &operator=(const ShardedSnapshotStore &) = delete;
 
   /// The latest published version. Thread-safe, never blocks on writers
   /// beyond the publish pointer swap.
@@ -164,22 +194,27 @@ public:
   /// Monotonic version counter (0 = the seed base graph).
   uint64_t version() const;
 
+  /// Vertex universe of the latest published version. Thread-safe.
+  Count numNodes() const;
+
   /// External-to-internal vertex-id mapping (identity unless
   /// `Options::Reorder` was set). Queries and update batches arrive in
   /// external ids; snapshots, applied transitions, and distance states
   /// live in internal ids.
   const VertexMapping &mapping() const { return Map; }
 
-  /// Applies \p Batch and publishes the next version. Serialized across
-  /// callers; concurrent readers keep their pinned versions.
+  /// Applies \p Batch and publishes the next version. Callers whose
+  /// batches touch disjoint shard sets run concurrently; concurrent
+  /// readers keep their pinned versions.
   ApplyResult applyUpdates(const std::vector<EdgeUpdate> &Batch);
 
-  /// Grows the vertex universe by \p HowMany fresh vertices and publishes
-  /// the next version. \returns the first new id — ids are contiguous and
-  /// identical in external and internal space (the tail sits past any
-  /// reorder permutation). New vertices start with empty adjacency; on
-  /// coordinate-bearing graphs \p TailCoords may supply one (X, Y) per
-  /// new vertex (see DeltaGraph::growUniverse for the A* contract).
+  /// Grows the vertex universe by \p HowMany fresh vertices (all shards in
+  /// lockstep; tail ids clamp into the last shard) and publishes the next
+  /// version. \returns the first new id — ids are contiguous and identical
+  /// in external and internal space (the tail sits past any reorder
+  /// permutation). New vertices start with empty adjacency; on
+  /// coordinate-bearing graphs \p TailCoords may supply one (X, Y) per new
+  /// vertex (see DeltaGraph::growUniverse for the A* contract).
   VertexId addVertices(Count HowMany,
                        const Coordinates *TailCoords = nullptr);
 
@@ -195,212 +230,42 @@ public:
   /// is empty. A removed vertex keeps serving as an isolated vertex, so
   /// distances stay bit-identical to a universe that merely deleted the
   /// same edges; its tombstoned patch row is reclaimed by the next fold
-  /// covering it (`DeltaGraph::reclaimedTombstones`).
+  /// covering it (`reclaimedTombstones()`).
   ///
   /// On directed graphs without incoming adjacency the store cannot
   /// enumerate in-edges, so only the out-edges are deleted; symmetric and
   /// in-edge-carrying graphs detach fully. A reused id keeps its old
   /// coordinates — callers wiring it back into a coordinate-bearing graph
   /// must pick weights respecting the A* floor of the *existing*
-  /// coordinates (or route only PPSP/SSSP at it).
+  /// coordinates (or route only PPSP/SSSP at it). Detaching may touch
+  /// arbitrary neighbor shards, so removeVertex takes every shard lock
+  /// (the rare heavyweight write, like addVertices); the one-shard-lock
+  /// guarantee is about *compaction*, which never detaches.
   ApplyResult removeVertex(VertexId External);
   VertexId acquireVertex(const Coordinates *OneCoord = nullptr);
   /// Freed ids awaiting reuse.
   Count freeVertexCount() const;
 
-  /// Vertex universe of the latest published version. Thread-safe.
-  Count numNodes() const;
-
-  /// Compactions performed so far.
+  /// Successful shard folds so far, summed over shards.
   uint64_t compactions() const;
 
-  /// Blocks until no background compaction is in flight (its rebuilt base
-  /// is published). No-op in synchronous mode.
+  /// Blocks until no background shard fold is in flight (its folded
+  /// writer is published). No-op in synchronous mode.
   void waitForCompaction();
 
-  /// Bounded wait; returns false if a compaction is still in flight after
+  /// Bounded wait; returns false if a fold is still in flight after
   /// \p TimeoutMillis.
   bool waitForCompactionFor(int64_t TimeoutMillis);
 
-  /// Degraded-but-serving: the last compaction failed (after retries /
+  /// Degraded-but-serving: some shard's last fold failed (after retries /
   /// watchdog) and its overlay has not been folded since. Queries keep
-  /// running over the un-compacted snapshots. Cleared by the next
-  /// successful compaction.
+  /// running over the un-folded snapshots. Each shard clears its own flag
+  /// at its next successful fold.
   bool degraded() const;
 
-  /// The last compaction failure message ("" when none). Sticky until the
-  /// next successful compaction; independent of the one-shot
+  /// The last fold failure message ("" when none). Sticky until every
+  /// degraded shard has folded again; independent of the one-shot
   /// ApplyResult::CompactionError surfacing.
-  std::string lastError() const;
-
-private:
-  /// Copies the writer overlay into an immutable snapshot and swaps the
-  /// publish pointer (the entire read-side critical section). The
-  /// REQUIRES contract replaces the old pass-the-unique-lock-as-proof
-  /// parameter: the analysis now verifies every caller actually holds
-  /// WriteMu.
-  void publish() REQUIRES(WriteMu);
-  void compactorBody(Snapshot Pinned) EXCLUDES(WriteMu);
-  /// Records a failed compaction: marks the store degraded, keeps the
-  /// sticky LastError, and queues the one-shot PendingError for the next
-  /// writer call.
-  void noteCompactionFailure(const std::string &Message) REQUIRES(WriteMu);
-
-  /// Writers always nest the read lock inside the write lock (publish,
-  /// failure notes); the analysis owns that ordering.
-  Mutex WriteMu ACQUIRED_BEFORE(ReadMu);
-  /// Guards the publish pointer, version counter, and health flags.
-  mutable Mutex ReadMu;
-
-  Snapshot Current GUARDED_BY(ReadMu);
-  uint64_t Version GUARDED_BY(ReadMu) = 0;
-  bool Degraded GUARDED_BY(ReadMu) = false;
-  std::string LastError GUARDED_BY(ReadMu);
-  uint64_t Compactions GUARDED_BY(ReadMu) = 0;
-  /// Permutation tables immutable after construction (read lock-free by
-  /// the translate paths); only the freed-id list mutates, under ReadMu.
-  VertexMapping Map;
-
-  std::condition_variable CompactionCv;
-  DeltaGraph Writer GUARDED_BY(WriteMu);
-  Options Opts; ///< immutable after construction
-  bool CompactionRunning GUARDED_BY(WriteMu) = false;
-  /// One-shot surfacing on the next writer call.
-  std::string PendingError GUARDED_BY(WriteMu);
-  std::thread Compactor GUARDED_BY(WriteMu);
-  /// One writer-side operation recorded while a background compaction
-  /// runs, replayed onto the rebuilt base before it replaces the writer
-  /// overlay. Either an edge batch or a universe growth — growth must
-  /// replay too, or batches referencing the new ids would be range-
-  /// rejected against the pre-growth rebuild.
-  struct ReplayOp {
-    std::vector<EdgeUpdate> Batch;
-    Count GrowTo = 0; ///< 0 = edge batch; else grow universe to this size
-    std::shared_ptr<const Coordinates> TailCoords;
-  };
-  std::vector<ReplayOp> Replay GUARDED_BY(WriteMu);
-};
-
-/// Scale-out snapshot store: the vertex universe is partitioned into
-/// contiguous ranges (one per shard; see ShardedDeltaView::shiftFor), and
-/// each shard owns a private `DeltaGraph` overlay over the shared base
-/// CSR plus its own writer mutex and compaction counter. A batch locks
-/// only the shards its endpoints touch — the directed edge (u, v) patches
-/// shard(u)'s out-adjacency and shard(v)'s in-adjacency (on symmetric
-/// graphs, the reverse edge is shard(v)'s own out-edge) — so writers on
-/// disjoint shard sets apply concurrently and only serialize on the final
-/// composite pointer swap.
-///
-/// Readers pin a `ShardedDeltaView` snapshot carrying the cross-shard
-/// version vector: per-shard versions bump exactly when that shard's
-/// overlay changed, the global version on every publish, and a pinned
-/// composite is immutable — so two pins can be compared component-wise
-/// (monotone, never torn; the concurrency stress test asserts this).
-///
-/// Compaction is *per shard and incremental*: a shard that trips its
-/// trigger folds its own vertex range — patches included — into a fresh
-/// `BaseSegment` (DeltaGraph::compactRange) while every other shard keeps
-/// serving its existing rows. The fold costs O(shard), holds exactly one
-/// shard writer lock (never more — asserted by the fault-isolation stress
-/// schedule), and can run on a background thread per shard
-/// (`Options::BackgroundCompaction`): the fold works off a pinned copy,
-/// batches accepted meanwhile are recorded in a shard-local replay log
-/// and re-applied onto the folded copy before it atomically replaces the
-/// writer. A failed fold degrades only that shard; the others keep
-/// folding. The legacy all-locks O(V + E) global rebuild survives behind
-/// `Options::LegacyGlobalRebuild` as the bench baseline. Batch-level
-/// semantics (applied-update coalescing, malformed-write skipping, vertex
-/// insertion) are bit-compatible with `SnapshotStore`; the stress harness
-/// differentially asserts it.
-class ShardedSnapshotStore {
-public:
-  using Snapshot = std::shared_ptr<const ShardedDeltaView>;
-
-  struct Options {
-    Options() {} // usable as a `{}` default argument under GCC 12
-    /// Vertex-range shards (writer concurrency). Clamped to >= 1.
-    int NumShards = 8;
-    /// Per-shard compaction trigger, measured against the shard's slice
-    /// of the base edges (see SnapshotStore::Options).
-    double CompactionThreshold = 0.10;
-    Count MinOverlayEdges = 1 << 12;
-    /// Cache-conscious layout, as in SnapshotStore::Options.
-    ReorderKind Reorder = ReorderKind::None;
-    VertexId ReorderSourceHint = 0;
-    /// All-or-nothing batches, as in SnapshotStore::Options (semantics
-    /// are bit-compatible: same batches rejected, same versions
-    /// published).
-    bool StrictBatches = false;
-    /// Fold a tripped shard on its own background thread (pin + replay,
-    /// as in SnapshotStore) instead of inline in the triggering apply.
-    bool BackgroundCompaction = false;
-    /// Bounded retries for a failed shard fold or replay (transient
-    /// faults — allocation failure, injected fail points).
-    int CompactionRetryLimit = 3;
-    /// Compatibility/baseline mode: a tripped trigger schedules the old
-    /// store-wide rebuild (all shard locks, one O(V + E) fold) instead of
-    /// the per-shard incremental fold. Exists so benches can measure the
-    /// win; leave off in production.
-    bool LegacyGlobalRebuild = false;
-  };
-
-  struct ApplyResult {
-    /// Batch-level outcome (see SnapshotStore::ApplyResult).
-    ApplyStatus Status = ApplyStatus::Ok;
-    std::string Error;
-    /// One-shot surfacing of a global-compaction failure (the sharded
-    /// store compacts inline, so this reports the failure of a fold
-    /// triggered by this or an earlier batch; serving continues over the
-    /// un-compacted overlays either way).
-    std::string CompactionError;
-    uint64_t Version = 0;
-    /// Batch-coalesced directed transitions, byte-identical to what the
-    /// unsharded store returns for the same batch (internal id space).
-    std::vector<AppliedUpdate> Applied;
-    Snapshot Snap;
-    bool CompactionTriggered = false;
-  };
-
-  explicit ShardedSnapshotStore(Graph Base, Options Opts = {});
-  ~ShardedSnapshotStore();
-
-  ShardedSnapshotStore(const ShardedSnapshotStore &) = delete;
-  ShardedSnapshotStore &operator=(const ShardedSnapshotStore &) = delete;
-
-  Snapshot current() const;
-  std::pair<Snapshot, uint64_t> currentVersioned() const;
-  uint64_t version() const;
-  Count numNodes() const;
-  const VertexMapping &mapping() const { return Map; }
-
-  /// Applies \p Batch and publishes the next version. Callers whose
-  /// batches touch disjoint shard sets run concurrently.
-  ApplyResult applyUpdates(const std::vector<EdgeUpdate> &Batch);
-
-  /// Grows the universe (all shards in lockstep; tail ids clamp into the
-  /// last shard) and publishes. See SnapshotStore::addVertices.
-  VertexId addVertices(Count HowMany,
-                       const Coordinates *TailCoords = nullptr);
-
-  /// Vertex deletion and id reuse — see the SnapshotStore block comment;
-  /// semantics are bit-compatible. Detaching may touch arbitrary neighbor
-  /// shards, so removeVertex takes every shard lock (the rare heavyweight
-  /// write, like addVertices); the one-shard-lock guarantee is about
-  /// *compaction*, which never detaches.
-  ApplyResult removeVertex(VertexId External);
-  VertexId acquireVertex(const Coordinates *OneCoord = nullptr);
-  Count freeVertexCount() const;
-
-  uint64_t compactions() const;
-
-  /// Blocks until no background shard fold is in flight. No-op in
-  /// synchronous mode.
-  void waitForCompaction();
-
-  /// Degraded-but-serving / sticky failure message, as in SnapshotStore.
-  /// The store is degraded while *any* shard's last fold failed; each
-  /// shard clears its own flag at its next successful fold.
-  bool degraded() const;
   std::string lastError() const;
 
   int numShards() const { return static_cast<int>(Shards.size()); }
@@ -420,10 +285,10 @@ public:
 private:
   /// One writer-side mutation recorded while this shard's background fold
   /// is in flight, replayed onto the folded copy before it replaces the
-  /// writer (the sharded analogue of SnapshotStore::ReplayOp — but
-  /// element-wise: a batch interleaves out-rows, in-mirrors, and
+  /// writer. Element-wise: a batch interleaves out-rows, in-mirrors, and
   /// symmetric reverse rows across shards, so each shard logs exactly the
-  /// per-row calls it received).
+  /// per-row calls it received. Universe growth replays too — otherwise a
+  /// later row referencing the new ids would be range-rejected.
   struct ShardOp {
     enum class Kind : uint8_t { Out, InMirror, Grow };
     Kind Op = Kind::Out;
@@ -458,13 +323,15 @@ private:
   /// must already be the sorted-ascending, deduplicated lock order that
   /// `DynamicLockSet` requires.
   std::vector<Mutex *> shardMutexes(const std::vector<int> &ShardIds);
+  /// Every shard id, ascending (the lock set of the store-wide writes).
+  std::vector<int> allShards() const;
 
   /// Publishes a new composite from the current shard writers. Caller
   /// holds the Mu of every shard in \p Touched (sorted) via a
   /// DynamicLockSet; bumps their shard versions and the global version.
   ApplyResult publishLocked(const std::vector<int> &Touched,
-                            std::vector<AppliedUpdate> Applied,
-                            bool CompactionTriggered) EXCLUDES(ReadMu);
+                            std::vector<AppliedUpdate> Applied)
+      EXCLUDES(ReadMu);
   /// Applies one validated update's rows to the owning shard writers
   /// (out, in-mirror, symmetric reverse), collecting Applied transitions
   /// and dirty shard ids, and recording replay ops into any shard whose
@@ -483,17 +350,14 @@ private:
   void foldShardAsync(int S) EXCLUDES(ReadMu);
   void foldShardBody(int S, std::shared_ptr<const DeltaGraph> Pinned)
       EXCLUDES(ReadMu);
+  /// Hands out (and clears) the one-shot fold failure message for a
+  /// writer's result.
+  std::string takePendingError() EXCLUDES(ReadMu);
   /// Fold health bookkeeping; both require the shard's Mu (unannotated —
   /// see Shard).
   void noteShardFoldOk(Shard &Sh) EXCLUDES(ReadMu);
   void noteShardFoldFailure(Shard &Sh, int S, const std::string &Why)
       EXCLUDES(ReadMu);
-  /// Deprecated: a tripped trigger now folds only its own shard; this
-  /// loops compactShard over all shards (tests / operator-forced fold).
-  /// The old all-locks global rebuild lives in compactAllGlobal, kept
-  /// solely for Options::LegacyGlobalRebuild.
-  void compactAll() EXCLUDES(ReadMu);
-  void compactAllGlobal() EXCLUDES(ReadMu);
 
   /// Guards the composite pointer, version vector, and health flags.
   mutable Mutex ReadMu;
@@ -502,13 +366,14 @@ private:
   uint64_t Version GUARDED_BY(ReadMu) = 0;
   bool Degraded GUARDED_BY(ReadMu) = false;
   std::string LastError GUARDED_BY(ReadMu);
-  /// One-shot surfacing on the next apply.
+  /// One-shot surfacing on the next writer result (takePendingError).
   std::string PendingError GUARDED_BY(ReadMu);
   /// Shards whose last fold failed (keeps `Degraded` exact without
   /// touching other shards' locks from a fold path).
   int DegradedShards GUARDED_BY(ReadMu) = 0;
-  /// Permutation tables immutable after construction; only the freed-id
-  /// list mutates, under ReadMu (as in SnapshotStore).
+  uint64_t Compactions GUARDED_BY(ReadMu) = 0;
+  /// Permutation tables immutable after construction (read lock-free by
+  /// the translate paths); only the freed-id list mutates, under ReadMu.
   VertexMapping Map;
 
   Options Opts;           ///< immutable after construction
@@ -516,10 +381,11 @@ private:
   bool Symmetric = false; ///< immutable after construction
   bool MirrorsIn = false; ///< directed base carrying incoming adjacency
   std::vector<std::unique_ptr<Shard>> Shards;
-  Mutex CompactMu; ///< serializes legacy global compactions
-  bool CompactionPending GUARDED_BY(ReadMu) = false;
-  uint64_t Compactions GUARDED_BY(ReadMu) = 0;
 };
+
+/// The single-writer name of the store: the same class, which defaults
+/// to one shard.
+using SnapshotStore = ShardedSnapshotStore;
 
 } // namespace service
 } // namespace graphit

@@ -25,7 +25,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <string>
+#include <thread>
 #include <vector>
 
 using namespace graphit;
@@ -151,7 +154,8 @@ TEST(FailPoint, ConfigureFromEnvParsesSchedules) {
 }
 
 //===----------------------------------------------------------------------===//
-// Recovery paths, unsharded store.
+// Recovery paths, one-shard store (the background-fold tests also run at
+// four shards).
 //===----------------------------------------------------------------------===//
 
 TEST(FailPoint, PublishRetriesThroughInjectedFaults) {
@@ -205,6 +209,10 @@ TEST(FailPoint, SyncCompactionFailureDegradesButKeepsServing) {
     Ref.apply(Batch);
     SnapshotStore::ApplyResult R = Store.applyUpdates(Batch);
     ASSERT_EQ(R.Status, ApplyStatus::Ok);
+    // An inline fold reports its failure on the batch that triggered it.
+    if (R.CompactionTriggered) {
+      EXPECT_FALSE(R.CompactionError.empty()) << "round " << Round;
+    }
     SawError |= !R.CompactionError.empty();
   }
   EXPECT_TRUE(SawError) << "compaction failure was never surfaced";
@@ -230,11 +238,14 @@ TEST(FailPoint, SyncCompactionFailureDegradesButKeepsServing) {
   EXPECT_TRUE(Store.lastError().empty());
 }
 
-TEST(FailPoint, BackgroundCompactionRetriesThenFallsBack) {
-  SKIP_WITHOUT_FAILPOINTS();
+namespace {
+
+void backgroundFoldRetriesThenFallsBack(int NumShards) {
+  SCOPED_TRACE(std::to_string(NumShards) + " shard(s)");
   FailPointGuard Guard;
   Graph Base = makeRoad(16, 7);
   SnapshotStore::Options Opts;
+  Opts.NumShards = NumShards;
   Opts.BackgroundCompaction = true;
   Opts.CompactionThreshold = 0.01;
   Opts.MinOverlayEdges = 8;
@@ -274,11 +285,12 @@ TEST(FailPoint, BackgroundCompactionRetriesThenFallsBack) {
   EXPECT_EQ(Got.Dist, Want.Dist);
 }
 
-TEST(FailPoint, BackgroundCompactionReplayWindowSurvivesDelays) {
-  SKIP_WITHOUT_FAILPOINTS();
+void backgroundFoldReplayWindowSurvivesDelays(int NumShards) {
+  SCOPED_TRACE(std::to_string(NumShards) + " shard(s)");
   FailPointGuard Guard;
   Graph Base = makeRoad(16, 9);
   SnapshotStore::Options Opts;
+  Opts.NumShards = NumShards;
   Opts.BackgroundCompaction = true;
   Opts.CompactionThreshold = 0.01;
   Opts.MinOverlayEdges = 8;
@@ -291,11 +303,23 @@ TEST(FailPoint, BackgroundCompactionReplayWindowSurvivesDelays) {
   // exists for, now schedulable on demand.
   failpoints::reseed(0xFA3);
   failpoints::activateDelay("compaction.rebuild", 30);
-  for (int Round = 0; Round < 6; ++Round) {
+  auto Feed = [&] {
     std::vector<EdgeUpdate> Batch = randomBatch(Ref, 48, Rng);
     Ref.apply(Batch);
     ASSERT_EQ(Store.applyUpdates(Batch).Status, ApplyStatus::Ok);
-  }
+  };
+  for (int Round = 0; Round < 6; ++Round)
+    Feed();
+  // A fold thread counts its fire before it sleeps, so once the count
+  // moves some fold is mid-delay: the next batches land in its replay log
+  // whatever the thread start-up latency was.
+  for (int Spin = 0;
+       Spin < 5000 && failpoints::fireCount("compaction.rebuild") == 0; ++Spin)
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  ASSERT_GT(failpoints::fireCount("compaction.rebuild"), 0u)
+      << "no background fold started";
+  for (int Round = 0; Round < 2; ++Round)
+    Feed();
   failpoints::reset();
   Store.waitForCompaction();
   EXPECT_FALSE(Store.degraded());
@@ -306,6 +330,78 @@ TEST(FailPoint, BackgroundCompactionReplayWindowSurvivesDelays) {
   SSSPResult Got = deltaSteppingSSSP(*Store.current(), 0, S);
   SSSPResult Want = deltaSteppingSSSP(Ref, 0, S);
   EXPECT_EQ(Got.Dist, Want.Dist);
+}
+
+void backgroundFoldWatchdogBoundsRetries(int NumShards) {
+  SCOPED_TRACE(std::to_string(NumShards) + " shard(s)");
+  FailPointGuard Guard;
+  Graph Base = makeRoad(16, 11);
+  SnapshotStore::Options Opts;
+  Opts.NumShards = NumShards;
+  Opts.BackgroundCompaction = true;
+  Opts.CompactionThreshold = 0.01;
+  Opts.MinOverlayEdges = 8;
+  // The retry limit alone would keep a fold backing off (1, 2, 4, ... ms)
+  // far past any test timeout; only the watchdog can end it.
+  Opts.CompactionRetryLimit = 1000;
+  Opts.CompactionBackoffMillis = 1;
+  Opts.CompactionWatchdogMillis = 40;
+  SnapshotStore Store(Base, Opts);
+  DeltaGraph Ref(std::make_shared<const Graph>(Base));
+  SplitMix64 Rng(0xFA8);
+
+  failpoints::reseed(0xFA8);
+  failpoints::activate("compaction.rebuild", 1.0);
+  std::vector<EdgeUpdate> Batch = randomBatch(Ref, 64, Rng);
+  Ref.apply(Batch);
+  ASSERT_EQ(Store.applyUpdates(Batch).Status, ApplyStatus::Ok);
+  ASSERT_TRUE(Store.waitForCompactionFor(10000))
+      << "the watchdog did not end the failing fold";
+  EXPECT_GT(failpoints::fireCount("compaction.rebuild"), 0u);
+  // A 40 ms budget over a doubling backoff from 1 ms fits about seven
+  // attempts per shard fold.
+  EXPECT_LT(failpoints::fireCount("compaction.rebuild"),
+            16u * static_cast<uint64_t>(NumShards));
+  EXPECT_TRUE(Store.degraded());
+  EXPECT_EQ(Store.compactions(), 0u);
+
+  // Faults off: the failure surfaces once, and the next folds recover.
+  failpoints::reset();
+  for (int Round = 0; Round < 3; ++Round) {
+    Batch = randomBatch(Ref, 64, Rng);
+    Ref.apply(Batch);
+    SnapshotStore::ApplyResult R = Store.applyUpdates(Batch);
+    ASSERT_EQ(R.Status, ApplyStatus::Ok);
+    EXPECT_EQ(R.CompactionError.empty(), Round > 0) << "round " << Round;
+    Store.waitForCompaction();
+  }
+  EXPECT_GT(Store.compactions(), 0u);
+  Schedule S;
+  S.configApplyPriorityUpdateDelta(1024);
+  EXPECT_EQ(deltaSteppingSSSP(*Store.current(), 0, S).Dist,
+            deltaSteppingSSSP(Ref, 0, S).Dist);
+}
+
+} // namespace
+
+// The watchdog and backoff of the background fold, at one shard and at
+// four (every shard's fold retries, backs off and falls back on its own).
+TEST(FailPoint, BackgroundCompactionRetriesThenFallsBack) {
+  SKIP_WITHOUT_FAILPOINTS();
+  for (int NumShards : {1, 4})
+    backgroundFoldRetriesThenFallsBack(NumShards);
+}
+
+TEST(FailPoint, BackgroundCompactionReplayWindowSurvivesDelays) {
+  SKIP_WITHOUT_FAILPOINTS();
+  for (int NumShards : {1, 4})
+    backgroundFoldReplayWindowSurvivesDelays(NumShards);
+}
+
+TEST(FailPoint, BackgroundFoldWatchdogBoundsRetries) {
+  SKIP_WITHOUT_FAILPOINTS();
+  for (int NumShards : {1, 4})
+    backgroundFoldWatchdogBoundsRetries(NumShards);
 }
 
 TEST(FailPoint, ReplayFaultsRetryFromFreshOverlay) {
@@ -346,7 +442,7 @@ TEST(FailPoint, ReplayFaultsRetryFromFreshOverlay) {
 }
 
 //===----------------------------------------------------------------------===//
-// Recovery paths, sharded store + query engine.
+// Recovery paths, multi-shard store + query engine.
 //===----------------------------------------------------------------------===//
 
 TEST(FailPoint, ShardLockAcquisitionRetriesThroughFaults) {

@@ -360,7 +360,7 @@ TEST(QueryEngine, MalformedQueryFailsWithoutCrashing) {
   Bad.Target = static_cast<VertexId>(G.numNodes() + 5); // out of range
   uint64_t T = Engine.submit(Bad);
   QueryResult R = Engine.collect(T);
-  EXPECT_TRUE(R.Failed);
+  EXPECT_EQ(R.Status, QueryStatus::Failed);
   EXPECT_EQ(R.Dist, kInfiniteDistance);
 
   // The engine keeps serving after a rejected request.
@@ -381,7 +381,7 @@ TEST(QueryEngine, MalformedQueryFailsWithoutCrashing) {
   NoHeur.Kind = QueryKind::AStar;
   NoHeur.Source = 0;
   NoHeur.Target = 2;
-  EXPECT_TRUE(PlainEngine.runBatch({NoHeur})[0].Failed);
+  EXPECT_EQ(PlainEngine.runBatch({NoHeur})[0].Status, QueryStatus::Failed);
 }
 
 TEST(QueryEngine, AggregateStatsAccumulate) {

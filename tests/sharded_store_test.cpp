@@ -5,12 +5,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Covers the scale-out store: shard routing, batch semantics vs the
-// unsharded store, the cross-shard version vector (per-shard bumps,
-// monotonicity, no torn reads), per-shard compaction triggers folding
-// into a global rebuild, and the concurrency stress — N writers on
-// distinct shards racing M readers that pin snapshots mid-publish and
-// mid-compaction (runs under the TSan CI job like every other test).
+// Covers the store at several shard counts: shard routing, batch
+// semantics vs the one-shard store and a reference overlay, the summed
+// overlay count of the sharded view, the cross-shard version vector
+// (per-shard bumps, monotonicity, no torn reads), per-shard fold
+// triggers, and the concurrency stress — N writers on distinct shards
+// racing M readers that pin snapshots mid-publish and mid-compaction
+// (runs under the TSan CI job like every other test).
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,12 +80,13 @@ TEST(ShardedStore, ShardRoutingCoversTheUniverse) {
             Store.numShards() - 1);
 }
 
-TEST(ShardedStore, MatchesUnshardedOnFixedBatch) {
+TEST(ShardedStore, MatchesOneShardAndReferenceOnFixedBatch) {
   Graph G = roadGraph(16);
-  SnapshotStore Plain(G);
+  SnapshotStore Plain(G); // one shard
   ShardedSnapshotStore::Options Opts;
   Opts.NumShards = 4;
   ShardedSnapshotStore Sharded(G, Opts);
+  DeltaGraph Ref(std::make_shared<const Graph>(G));
 
   // A handcrafted batch crossing shard boundaries: insert, delete,
   // reweight, duplicate-edge coalescing, and malformed writes.
@@ -103,20 +105,48 @@ TEST(ShardedStore, MatchesUnshardedOnFixedBatch) {
   };
   SnapshotStore::ApplyResult PA = Plain.applyUpdates(Batch);
   ShardedSnapshotStore::ApplyResult SA = Sharded.applyUpdates(Batch);
+  const std::vector<AppliedUpdate> RA = coalesceApplied(Ref.apply(Batch));
 
-  ASSERT_EQ(PA.Applied.size(), SA.Applied.size());
-  for (size_t I = 0; I < PA.Applied.size(); ++I) {
-    EXPECT_EQ(PA.Applied[I].Src, SA.Applied[I].Src) << I;
-    EXPECT_EQ(PA.Applied[I].Dst, SA.Applied[I].Dst) << I;
-    EXPECT_EQ(PA.Applied[I].OldW, SA.Applied[I].OldW) << I;
-    EXPECT_EQ(PA.Applied[I].NewW, SA.Applied[I].NewW) << I;
+  ASSERT_EQ(PA.Applied.size(), RA.size());
+  ASSERT_EQ(SA.Applied.size(), RA.size());
+  for (size_t I = 0; I < RA.size(); ++I) {
+    for (const SnapshotStore::ApplyResult *R : {&PA, &SA}) {
+      EXPECT_EQ(R->Applied[I].Src, RA[I].Src) << I;
+      EXPECT_EQ(R->Applied[I].Dst, RA[I].Dst) << I;
+      EXPECT_EQ(R->Applied[I].OldW, RA[I].OldW) << I;
+      EXPECT_EQ(R->Applied[I].NewW, RA[I].NewW) << I;
+    }
   }
-  EXPECT_EQ(PA.Snap->numEdges(), SA.Snap->numEdges());
+  EXPECT_EQ(PA.Snap->numEdges(), Ref.numEdges());
+  EXPECT_EQ(SA.Snap->numEdges(), Ref.numEdges());
 
   Schedule S = eager1024();
-  SSSPResult DP = deltaSteppingSSSP(*PA.Snap, 0, S);
-  SSSPResult DS = deltaSteppingSSSP(*SA.Snap, 0, S);
-  ASSERT_EQ(DP.Dist, DS.Dist);
+  SSSPResult DR = deltaSteppingSSSP(Ref, 0, S);
+  ASSERT_EQ(deltaSteppingSSSP(*PA.Snap, 0, S).Dist, DR.Dist);
+  ASSERT_EQ(deltaSteppingSSSP(*SA.Snap, 0, S).Dist, DR.Dist);
+}
+
+TEST(ShardedStore, OverlayEdgesSumsShardsToReferenceCount) {
+  // With folds off, every shard patches only its own vertices' rows, so
+  // the view's summed overlay equals the single reference overlay's.
+  Graph G = roadGraph(20);
+  SplitMix64 Rng(0x0E1A);
+  for (int NumShards : {1, 3, 4}) {
+    ShardedSnapshotStore::Options Opts;
+    Opts.NumShards = NumShards;
+    Opts.CompactionThreshold = 1e9;
+    ShardedSnapshotStore Store(G, Opts);
+    DeltaGraph Mirror(std::make_shared<const Graph>(G));
+    EXPECT_EQ(Store.current()->overlayEdges(), 0);
+    for (int Round = 0; Round < 12; ++Round) {
+      std::vector<EdgeUpdate> Batch = randomBatch(Mirror, 24, Rng);
+      Mirror.apply(Batch);
+      SnapshotStore::Snapshot Snap = Store.applyUpdates(Batch).Snap;
+      ASSERT_GT(Mirror.overlayEdges(), 0);
+      ASSERT_EQ(Snap->overlayEdges(), Mirror.overlayEdges())
+          << NumShards << " shards, round " << Round;
+    }
+  }
 }
 
 TEST(ShardedStore, VersionVectorBumpsOnlyTouchedShards) {

@@ -92,19 +92,22 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
   Graph Base = makeBase(C);
   const bool HasCoords = Base.hasCoordinates();
 
+  // The single-writer configuration: one shard, one writer lock, every
+  // fold covering the whole graph.
   SnapshotStore::Options PO;
+  PO.NumShards = 1;
   PO.Reorder = C.PlainReorder;
   PO.CompactionThreshold = 0.06;
   PO.MinOverlayEdges = 256;
   SnapshotStore Plain(Base, PO);
 
-  ShardedSnapshotStore::Options SO;
+  SnapshotStore::Options SO;
   SO.NumShards = C.NumShards;
   SO.Reorder = C.ShardedReorder;
   SO.CompactionThreshold = 0.06;
   SO.MinOverlayEdges = 64;
   SO.BackgroundCompaction = C.ShardedBackground;
-  ShardedSnapshotStore Sharded(Base, SO);
+  SnapshotStore Sharded(Base, SO);
 
   // Identity-layout reference overlay: batches are generated from it (so
   // they are external-id batches), and it receives every operation the
@@ -125,14 +128,14 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
   // hot-state repair, adaptive batching, admission control, and the
   // deadline plumbing engaged (generous budgets — the *paths* run, the
   // outcomes stay deterministic).
-  ShardedQueryEngine::Options EO;
+  QueryEngine::Options EO;
   EO.NumWorkers = 2;
   EO.DefaultSchedule = Eager;
   EO.HotSourceCapacity = 4;
   EO.MaxBatchDelayMicros = 200;
   EO.AdmissionHighWater = 64; // far above the harness's queue depth
   EO.AdmissionSoftWater = 32;
-  ShardedQueryEngine Engine(Sharded, EO);
+  QueryEngine Engine(Sharded, EO);
 
   // Hot dispatcher state repaired across every version (external source
   // 0), checked bit-for-bit against a fresh recompute each round.
@@ -241,7 +244,7 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
     }
 
     SnapshotStore::ApplyResult PA;
-    ShardedSnapshotStore::ApplyResult SA;
+    SnapshotStore::ApplyResult SA;
     std::vector<AppliedUpdate> RefApplied;
     if (RemoveRound) {
       // Vertex removal + id reuse, differentially: the stores detach the

@@ -18,16 +18,15 @@
 ///
 /// `runLiveStress` is the differential harness proper: a seeded stream of
 /// mixed update batches (optionally including vertex insertion and
-/// removal/id-reuse) is fed to an unsharded `SnapshotStore`, a
-/// `ShardedSnapshotStore` — the sharded side driven end to end through
-/// the unified `ShardedQueryEngine` (updates, growth, vertex removal, and
-/// queries all routed through the engine, hot-state repair and deadline
-/// plumbing engaged) — and a plain reference `DeltaGraph`, and every
-/// round cross-checks
+/// removal/id-reuse) is fed to a one-shard store (the single-writer
+/// configuration), an N-shard store — driven end to end through the
+/// `QueryEngine` (updates, growth, vertex removal, and queries all routed
+/// through the engine, hot-state repair and deadline plumbing engaged) —
+/// and a plain reference `DeltaGraph`, and every round cross-checks
 ///
 ///   * applied-transition streams (external-id space, record for record),
 ///   * SSSP distance arrays across {ordering x schedule} points
-///     (eager vs lazy, identity vs permuted, sharded vs unsharded) —
+///     (eager vs lazy, identity vs permuted, one shard vs N shards) —
 ///     bit-identical, as PriorityGraph's schedule-independence guarantees,
 ///   * engine-served query results (submit/collect) vs those distances,
 ///   * incrementally repaired states vs fresh recomputes,
@@ -162,7 +161,7 @@ struct StressConfig {
   int Rounds = 8;
   /// Undirected updates per edge batch.
   Count BatchSize = 48;
-  /// Shards of the sharded store under test.
+  /// Shards of the N-shard store under test (the other store has one).
   int NumShards = 4;
   /// true: symmetric road grid with coordinates (A* checked too);
   /// false: directed weighted R-MAT (in-adjacency, no coordinates).
@@ -177,7 +176,7 @@ struct StressConfig {
   /// hand the freed id back on both — distances stay bit-identical to
   /// the never-removed (edge-deletes-only) reference throughout.
   bool RemoveVertices = true;
-  /// Run the sharded store's per-shard folds on background threads
+  /// Run the N-shard store's per-shard folds on background threads
   /// (Options::BackgroundCompaction) so writer batches race in-flight
   /// folds and land in the replay logs — the only way the
   /// `compaction.replay` fail point sees fuzzed traffic.
